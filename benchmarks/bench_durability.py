@@ -8,7 +8,7 @@ Three grids over the :mod:`repro.storage` tier:
   ``group:4`` and ``async``. Records wall commit tps and the measured
   fsync count per policy. Gate: fsync counts strictly ordered
   (per-block >= group >= async), and after a clean shutdown every
-  policy recovers the identical tip hash and Merkle state root — the
+  policy recovers the identical tip hash and state root — the
   policy buys throughput by widening the *crash* loss window, never by
   corrupting what it does persist.
 * **Recovery grid** (deterministic :class:`MemoryBackend`) — one chain,

@@ -548,7 +548,7 @@ def cmd_recover(args) -> int:
 
     Runs a seeded chaos schedule against a durable cluster — crash one
     node mid-stream, recover it, let it replay its WAL and catch back up
-    — then audits the recovered ledger and Merkle state root against
+    — then audits the recovered ledger and state root against
     the no-crash serial oracle. With ``--data-dir`` it additionally
     runs a multi-node restart drill against real files: ``--n`` durable
     nodes, each crashed at seeded heights (``--drill-crashes`` per

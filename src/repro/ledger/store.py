@@ -27,8 +27,11 @@ block N's writes) holds by construction.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Any, Iterator
+
+from repro.common.errors import LedgerError
 
 #: Overlay marker for deleted keys; masks base entries until compaction.
 _TOMBSTONE = object()
@@ -195,6 +198,18 @@ _MISSING = VersionedValue(None, NEVER_WRITTEN)
 #: exact sentinel for absent keys, never an equal-valued copy.
 MISSING = _MISSING
 
+#: State roots are sums of SHA-256 leaf digests, reduced to digest width.
+_ROOT_MODULUS = 1 << 256
+
+
+def _leaf_hash(key: str, entry: VersionedValue) -> int:
+    """One live entry's term in the state root (MVCC version included)."""
+    leaf = (
+        f"{key}|{entry.value!r}|{entry.version.height}|"
+        f"{entry.version.tx_index}"
+    )
+    return int.from_bytes(hashlib.sha256(leaf.encode()).digest(), "big")
+
 
 class StateSnapshot:
     """An immutable point-in-time view of a store (endorsement reads).
@@ -264,6 +279,11 @@ class StateStore:
         #: Mutable top layer, private to the store until sealed.
         self._head: dict[str, Any] = {}
         self._len = 0
+        #: State-root bookkeeping, off until the first root request (or
+        #: a seed): the root as of the last request, and for every key
+        #: written since, the entry that root covered.
+        self._root = 0
+        self._dirty: dict[str, VersionedValue] | None = None
 
     # -- reads ---------------------------------------------------------------
 
@@ -327,14 +347,20 @@ class StateStore:
     # -- writes --------------------------------------------------------------
 
     def put(self, key: str, value: Any, version: Version) -> None:
-        if key not in self:
+        old = self.get_versioned(key)
+        if old is _MISSING:
             self._len += 1
+        if self._dirty is not None:
+            self._dirty.setdefault(key, old)
         self._head[key] = VersionedValue(value=value, version=version)
 
     def delete(self, key: str) -> None:
-        if key not in self:
+        old = self.get_versioned(key)
+        if old is _MISSING:
             return
         self._len -= 1
+        if self._dirty is not None:
+            self._dirty.setdefault(key, old)
         self._head[key] = _TOMBSTONE
 
     def mark_deleted(self, key: str) -> None:
@@ -345,8 +371,11 @@ class StateStore:
         must not: the key being deleted usually lives in an older
         on-disk run, and only the tombstone carries the delete there.
         """
-        if key in self:
+        old = self.get_versioned(key)
+        if old is not _MISSING:
             self._len -= 1
+            if self._dirty is not None:
+                self._dirty.setdefault(key, old)
         self._head[key] = _TOMBSTONE
 
     def apply_writes(self, writes: dict[str, Any], version: Version) -> None:
@@ -432,6 +461,55 @@ class StateStore:
         call :meth:`snapshot` first to seal the head.
         """
         return self._sealed
+
+    # -- state commitment -----------------------------------------------------
+
+    def state_root(self) -> str:
+        """Commitment to the live entries, MVCC versions included.
+
+        An additive multiset hash: the sum mod 2**256 of SHA-256 over
+        one ``key|value-repr|height|tx_index`` leaf per live entry, as
+        64 hex characters. Addition commutes, so two stores with the
+        same visible state and versions agree whatever their layer
+        layout or write order — and a root can be *updated*: the first
+        request folds the whole state once and switches write tracking
+        on; every later one subtracts the leaf the previous root covered
+        and adds the current one for each key written since, O(write
+        set) however large the state. Collision resistance is a
+        modelled parameter here, like the HMAC signatures, and there
+        are no inclusion proofs against this root (block ``tx_root``s
+        stay Merkle trees).
+        """
+        if self._dirty is None:
+            root = sum(_leaf_hash(key, entry) for key, entry in self.items())
+            self._dirty = {}
+        else:
+            root = self._root
+            for key, old in self._dirty.items():
+                new = self.get_versioned(key)
+                if old is not _MISSING:
+                    root -= _leaf_hash(key, old)
+                if new is not _MISSING:
+                    root += _leaf_hash(key, new)
+            self._dirty.clear()
+        self._root = root % _ROOT_MODULUS
+        return f"{self._root:064x}"
+
+    def seed_state_root(self, root: str) -> None:
+        """Adopt ``root`` as the commitment to the current visible state.
+
+        For a store opened over state whose root is already on record
+        (a paged store over the manifest's runs): tracking starts from
+        the recorded value instead of a scan of the whole state.
+        """
+        try:
+            digest = bytes.fromhex(root)
+        except (TypeError, ValueError):
+            digest = b""
+        if len(digest) != 32:
+            raise LedgerError(f"malformed state root {root!r}")
+        self._root = int.from_bytes(digest, "big")
+        self._dirty = {}
 
     # -- whole-state views ----------------------------------------------------
 

@@ -17,7 +17,6 @@ from typing import Any
 from repro.common.errors import StorageError
 from repro.common.types import Operation, OpType, Transaction, TxType
 from repro.crypto.digests import sha256_hex
-from repro.crypto.merkle import merkle_root
 from repro.ledger.block import Block, BlockHeader
 from repro.ledger.store import StateStore, Version
 
@@ -102,19 +101,15 @@ def decode_block(payload: bytes) -> tuple[Block, str]:
 
 
 def state_root(store: StateStore) -> str:
-    """Merkle root over the store's live entries, versions included.
+    """The root WAL records and the manifest commit to: 64 hex chars.
 
-    Entries are serialized as ``key|value-repr|height|tx_index`` leaves
-    in sorted-key order, so two stores with identical visible state *and*
-    identical MVCC versions — the post-recovery equivalence the WAL
-    records assert — produce the same root regardless of their internal
-    layer layout.
+    Two stores with identical visible state *and* identical MVCC
+    versions — the post-recovery equivalence the WAL records assert —
+    produce the same root regardless of their internal layer layout.
+    The store maintains it in O(writes since the last request); see
+    :meth:`~repro.ledger.store.StateStore.state_root`.
     """
-    leaves = [
-        f"{key}|{entry.value!r}|{entry.version.height}|{entry.version.tx_index}"
-        for key, entry in sorted(store.items())
-    ]
-    return merkle_root(leaves)
+    return store.state_root()
 
 
 def entry_to_row(key: str, value: Any, version: Version) -> list[Any]:
@@ -195,21 +190,30 @@ class KeyFilter:
         nbits = (nbits + 7) // 8 * 8
         return cls(nbits, cls.HASHES, bytearray(nbits // 8))
 
-    def _positions(self, key: str) -> list[int]:
+    @staticmethod
+    def hash_pair(key: str) -> tuple[int, int]:
+        """The key's ``(h1, h2)``: independent of any one filter's
+        shape, so a lookup probing several runs derives it once."""
         digest = hashlib.sha256(key.encode()).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:16], "big") | 1
-        return [(h1 + i * h2) % self.nbits for i in range(self.nhashes)]
+        return (
+            int.from_bytes(digest[:8], "big"),
+            int.from_bytes(digest[8:16], "big") | 1,
+        )
 
     def add(self, key: str) -> None:
-        for position in self._positions(key):
+        h1, h2 = self.hash_pair(key)
+        for i in range(self.nhashes):
+            position = (h1 + i * h2) % self.nbits
             self.bits[position >> 3] |= 1 << (position & 7)
 
-    def might_contain(self, key: str) -> bool:
-        return all(
-            self.bits[position >> 3] & (1 << (position & 7))
-            for position in self._positions(key)
-        )
+    def might_contain(self, pair: tuple[int, int]) -> bool:
+        """False when no key with this :meth:`hash_pair` was added."""
+        h1, h2 = pair
+        for i in range(self.nhashes):
+            position = (h1 + i * h2) % self.nbits
+            if not self.bits[position >> 3] & (1 << (position & 7)):
+                return False
+        return True
 
     def to_dict(self) -> dict[str, Any]:
         return {"m": self.nbits, "k": self.nhashes, "bits": bytes(self.bits).hex()}

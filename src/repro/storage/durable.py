@@ -9,9 +9,10 @@ memory and its disk reverts to what was durable. Recovery is the real
 algorithm:
 
 1. read the manifest; load + checksum-verify the snapshot runs; verify
-   the rebuilt store's Merkle state root against the root the manifest
-   recorded (any failure ⇒ the snapshot tier is untrusted ⇒ full resync
-   from genesis via peers);
+   the rebuilt store's state root against the root the manifest
+   recorded — a paged store, which loads no rows, adopts the recorded
+   root instead (any failure ⇒ the snapshot tier is untrusted ⇒ full
+   resync from genesis via peers);
 2. replay the WAL tail — CRC-verified records only; each decoded block
    must hash-chain from the recovered tip and reproduce the state root
    its record committed to; a torn tail is truncated (repaired in
@@ -24,8 +25,8 @@ algorithm:
 fuzzes: one never-crashed :class:`OrdererNode` streaming a canonical
 pre-built chain, N durable nodes with independently seeded (optionally
 faulty) storage backends, and a serial-oracle audit asserting every
-recovered node ends byte-identical — same tip hash, same Merkle state
-root — to the no-crash serial execution.
+recovered node ends byte-identical — same tip hash, same state root —
+to the no-crash serial execution.
 """
 
 from __future__ import annotations
@@ -385,33 +386,36 @@ class DurableLedger:
         resync = False
         if manifest is not None:
             try:
+                recorded_root = manifest.get("state_root")
                 if self.paged:
-                    # O(index) open: footers + filters only. Whole-state
-                    # root verification would defeat the O(WAL tail)
-                    # restart; trust moves to the per-block checksums
-                    # verified on every read (a bad footer still lands
-                    # here as StorageError => resync).
+                    # O(index) open: footers + filters only. The root is
+                    # taken over from the manifest, not recomputed — a
+                    # whole-state scan would defeat the O(WAL tail)
+                    # restart; the tail audit below and the per-block
+                    # checksums verified on every read carry the
+                    # corruption-detection duty (a bad footer still
+                    # lands here as StorageError => resync).
                     loaded: StateStore = PagedStateStore(
                         self.backend,
                         manifest.get("runs", ()),
                         BlockCache(self.cache_bytes),
                     )
+                    if recorded_root is not None:
+                        loaded.seed_state_root(recorded_root)
                 else:
                     loaded = self.snapshots.load_state(manifest)
+                    if (
+                        recorded_root is not None
+                        and state_root(loaded) != recorded_root
+                    ):
+                        raise StorageError(
+                            "snapshot state root does not match manifest"
+                        )
                 anchor = (
                     block_from_dict(manifest["anchor"])
                     if "anchor" in manifest
                     else genesis_block()
                 )
-                recorded_root = manifest.get("state_root")
-                if (
-                    not self.paged
-                    and recorded_root is not None
-                    and state_root(loaded) != recorded_root
-                ):
-                    raise StorageError(
-                        "snapshot state root does not match manifest"
-                    )
                 tail = ChainTail(anchor)
                 store = loaded
                 snapshot_height = int(manifest.get("snapshot_height", 0))
@@ -445,12 +449,13 @@ class DurableLedger:
                             spill.apply_writes(
                                 rwset.writes, Version(block.height, index)
                             )
-                    if not self.paged and state_root(store) != recorded_root:
+                    if state_root(store) != recorded_root:
                         # Intact record but irreproducible state: the
                         # snapshot tier under it cannot be trusted either.
-                        # (Paged mode skips this O(state) audit — the
-                        # per-block checksums on the read path carry the
-                        # corruption-detection duty there.)
+                        # O(block write set) in both modes — a paged
+                        # store's root was seeded from the manifest, so
+                        # a checksum-valid but wrong run row is caught
+                        # as soon as the tail touches it.
                         resync = True
                         break
                     replayed += 1

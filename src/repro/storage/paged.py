@@ -166,10 +166,14 @@ class PagedRun:
     def block_count(self) -> int:
         return 1 if self.blocks is None else len(self.blocks)
 
-    def lookup(self, key: str, cache: BlockCache) -> list[Any] | None:
+    def lookup(
+        self, key: str, pair: tuple[int, int], cache: BlockCache
+    ) -> list[Any] | None:
         """The row for ``key`` in this run (tombstone rows included), or
-        None — touching at most one block."""
-        if self.filter is not None and not self.filter.might_contain(key):
+        None — touching at most one block. ``pair`` is the key's
+        :meth:`KeyFilter.hash_pair`, derived once per lookup, not per
+        run."""
+        if self.filter is not None and not self.filter.might_contain(pair):
             STORE_COUNTERS["filter_skips"] += 1
             return None
         if self.blocks is None:
@@ -352,8 +356,9 @@ def _run_lookup(
 ) -> VersionedValue:
     """Walk runs newest→oldest; first run holding the key decides."""
     STORE_COUNTERS["paged_lookups"] += 1
+    pair = KeyFilter.hash_pair(key)
     for run in reversed(runs):
-        row = run.lookup(key, cache)
+        row = run.lookup(key, pair, cache)
         if row is not None:
             if row[1] is None:
                 return MISSING  # tombstone: masks older runs
@@ -456,6 +461,11 @@ class PagedStateStore(StateStore):
 
     def keys(self) -> list[str]:
         return [key for key, _entry in self.scan()]
+
+    def items(self) -> Iterator[tuple[str, VersionedValue]]:
+        """Live entries in one merged pass (the parent's ``keys()`` then
+        a lookup per key would walk every run twice)."""
+        return self.scan()
 
     def scan(
         self, start: str | None = None, end: str | None = None

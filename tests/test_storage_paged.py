@@ -54,9 +54,10 @@ def test_key_filter_has_no_false_negatives_and_round_trips():
     flt = KeyFilter.sized_for(len(keys))
     for key in keys:
         flt.add(key)
-    assert all(flt.might_contain(key) for key in keys)
+    pairs = [KeyFilter.hash_pair(key) for key in keys]
+    assert all(flt.might_contain(pair) for pair in pairs)
     again = KeyFilter.from_dict(flt.to_dict())
-    assert all(again.might_contain(key) for key in keys)
+    assert all(again.might_contain(pair) for pair in pairs)
     assert again.to_dict() == flt.to_dict()
 
 
@@ -65,7 +66,8 @@ def test_key_filter_rules_out_most_absent_keys():
     for i in range(200):
         flt.add(f"present{i}")
     false_positives = sum(
-        flt.might_contain(f"absent{i}") for i in range(1000)
+        flt.might_contain(KeyFilter.hash_pair(f"absent{i}"))
+        for i in range(1000)
     )
     # ~3% expected at 8 bits/key, k=4; 10% is a generous determinism-safe
     # bound (the hash seeds are fixed, so this never flakes).
@@ -110,7 +112,7 @@ def test_corrupt_block_detected_by_paged_lookup():
     backend._files[name].content = raw
     run = PagedRun(backend, entry)  # footer is intact — open succeeds
     with pytest.raises(StorageError):
-        run.lookup("k000", BlockCache())
+        run.lookup("k000", KeyFilter.hash_pair("k000"), BlockCache())
 
 
 def test_corrupt_footer_fails_at_open():
