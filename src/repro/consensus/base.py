@@ -133,6 +133,12 @@ class DecidedRange:
 _CATCHUP_BATCH = 64
 
 
+def digest_of(value: Any) -> str:
+    """The one digest of a consensus value: every protocol keys its
+    pending requests, proposals and votes by it."""
+    return sha256_hex(repr(value))
+
+
 class ConsensusReplica(Node):
     """Base replica: an in-order decided log with gap buffering.
 
@@ -162,8 +168,13 @@ class ConsensusReplica(Node):
         self._on_decide = on_decide
         self._out_of_order: dict[int, Any] = {}
         self._decided_at: dict[int, Any] = {}
+        #: ``digest_of`` every value in ``_decided_at``; written only by
+        #: :meth:`_decide`, so "already decided?" is one set lookup.
+        self._decided_digests: set[str] = set()
+        self._peers = [rid for rid in config.replica_ids if rid != node_id]
         self._requests: dict[str, Any] = {}  # subclasses may replace
-        self._catchup_vouches: dict[tuple[int, str], set[str]] = {}
+        #: undecided sequence -> value digest -> senders vouching for it.
+        self._catchup_vouches: dict[int, dict[str, set[str]]] = {}
         #: Counters-only verification cache for vote certificates.
         #: Consensus messages carry no real signatures in this model, so
         #: the ledger only tracks how many checks a FastFabric-style
@@ -230,14 +241,16 @@ class ConsensusReplica(Node):
                 seq = message.start + offset
                 if self.has_decided(seq):
                     continue
-                key = (seq, repr(value))
-                vouchers = self._catchup_vouches.setdefault(key, set())
+                digest = digest_of(value)
+                vouchers = self._catchup_vouches.setdefault(
+                    seq, {}
+                ).setdefault(digest, set())
                 vouchers.add(message.sender)
                 if len(vouchers) >= self._catchup_threshold():
                     self._decide(seq, value)
                     # Every protocol keys its pending-request table by
                     # the same digest, so the base can clear it here.
-                    self._requests.pop(sha256_hex(repr(value)), None)
+                    self._requests.pop(digest, None)
                     self._after_catchup(seq, value)
             return True
         return False
@@ -258,7 +271,7 @@ class ConsensusReplica(Node):
 
     @property
     def peers(self) -> list[str]:
-        return [rid for rid in self.config.replica_ids if rid != self.node_id]
+        return self._peers
 
     def _decide(self, sequence: int, value: Any) -> None:
         if sequence in self._decided_at:
@@ -268,6 +281,8 @@ class ConsensusReplica(Node):
                 )
             return
         self._decided_at[sequence] = value
+        self._decided_digests.add(digest_of(value))
+        self._catchup_vouches.pop(sequence, None)
         self._out_of_order[sequence] = value
         self.sim.metrics.incr("consensus.decisions")
         next_seq = len(self.decided)

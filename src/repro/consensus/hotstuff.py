@@ -23,12 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.consensus.base import ClusterConfig, ConsensusReplica
+from repro.consensus.base import ClusterConfig, ConsensusReplica, digest_of
 from repro.crypto.digests import sha256_hex
-
-
-def _digest_value(value: Any) -> str:
-    return sha256_hex(repr(value))
 
 
 @dataclass(frozen=True)
@@ -133,7 +129,6 @@ class HotStuffReplica(ConsensusReplica):
         #: value becomes proposable again after STALE_PROPOSAL_VIEWS,
         #: covering proposals orphaned by loss or forks.
         self._proposed_at: dict[str, int] = {}
-        self._decided_value_digests: set[str] = set()
         self._chain_seq = 0
         self._pending_commit_roots: set[str] = set()
         self._view_timer = None
@@ -173,15 +168,15 @@ class HotStuffReplica(ConsensusReplica):
     def _has_uncommitted_values(self) -> bool:
         """True while any proposed value has not reached a decision."""
         return any(
-            digest not in self._decided_value_digests
+            digest not in self._decided_digests
             for digest in self._proposed_at
         )
 
     # -- client path ---------------------------------------------------------
 
     def submit(self, value: Any) -> None:
-        digest = _digest_value(value)
-        if digest in self._decided_value_digests:
+        digest = digest_of(value)
+        if digest in self._decided_digests:
             # Duplicate of a decided request (client retry): retransmit
             # so lagging replicas learn of it, but don't reopen it.
             self.broadcast(ClientRequest(value=value), targets=self.peers)
@@ -258,8 +253,8 @@ class HotStuffReplica(ConsensusReplica):
 
     def on_message(self, src: str, message: object) -> None:
         if isinstance(message, ClientRequest):
-            digest = _digest_value(message.value)
-            if digest not in self._decided_value_digests:
+            digest = digest_of(message.value)
+            if digest not in self._decided_digests:
                 self._requests.setdefault(digest, message.value)
                 if self._leader_of(self.view) == self.node_id:
                     self._maybe_propose()
@@ -304,8 +299,8 @@ class HotStuffReplica(ConsensusReplica):
         digest = node.digest()
         self._nodes.setdefault(digest, node)
         if node.value is not None:
-            value_digest = _digest_value(node.value)
-            if value_digest not in self._decided_value_digests:
+            value_digest = digest_of(node.value)
+            if value_digest not in self._decided_digests:
                 self._requests.setdefault(value_digest, node.value)
         # Chain-state update (lock + commit rules) happens regardless of
         # whether we vote — QCs carry information even in stale views.
@@ -391,10 +386,9 @@ class HotStuffReplica(ConsensusReplica):
             self._committed.add(member.digest())
             if member.value is None:
                 continue
-            value_digest = _digest_value(member.value)
-            if value_digest in self._decided_value_digests:
+            value_digest = digest_of(member.value)
+            if value_digest in self._decided_digests:
                 continue  # value re-proposed after an orphaned branch
-            self._decided_value_digests.add(value_digest)
             self._decide(self._chain_seq, member.value)
             self._chain_seq += 1
             self._requests.pop(value_digest, None)
@@ -403,7 +397,6 @@ class HotStuffReplica(ConsensusReplica):
         # Keep the chain-commit sequencing aligned with decisions that
         # arrived through catch-up gossip; the chain itself skips values
         # already decided (dedup in _commit).
-        self._decided_value_digests.add(_digest_value(value))
         self._chain_seq = max(self._chain_seq, sequence + 1)
 
     def _on_node_reply(self, message: NodeReply) -> None:
@@ -464,7 +457,7 @@ class HotStuffReplica(ConsensusReplica):
         # Values proposed on what may now be an orphaned branch become
         # proposable again; duplicate commits are deduped at decide time.
         for digest in list(self._proposed_at):
-            if digest not in self._decided_value_digests:
+            if digest not in self._decided_digests:
                 del self._proposed_at[digest]
         message = NewView(view=view, high_qc=self.high_qc, sender=self.node_id)
         self.broadcast(message, targets=self.peers)

@@ -14,12 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.consensus.base import ClusterConfig, ConsensusReplica
-from repro.crypto.digests import sha256_hex
-
-
-def _digest(value: Any) -> str:
-    return sha256_hex(repr(value))
+from repro.consensus.base import ClusterConfig, ConsensusReplica, digest_of
 
 
 @dataclass(frozen=True)
@@ -91,8 +86,8 @@ class IbftReplica(ConsensusReplica):
     # -- client path -----------------------------------------------------------
 
     def submit(self, value: Any) -> None:
-        digest = _digest(value)
-        if digest in self._decided_digests():
+        digest = digest_of(value)
+        if digest in self._decided_digests:
             # Duplicate of a decided request (client retry): retransmit
             # so lagging validators learn of it, but don't reopen it.
             self.broadcast(ClientRequest(value=value), targets=self.peers)
@@ -177,8 +172,8 @@ class IbftReplica(ConsensusReplica):
             self._future.append((src, message))
             return
         if isinstance(message, ClientRequest):
-            digest = _digest(message.value)
-            if digest not in self._decided_digests():
+            digest = digest_of(message.value)
+            if digest not in self._decided_digests:
                 self._requests.setdefault(digest, message.value)
                 self._ensure_active()
         elif isinstance(message, IbftPrePrepare):
@@ -189,9 +184,6 @@ class IbftReplica(ConsensusReplica):
             self._on_commit(message)
         elif isinstance(message, RoundChange):
             self._on_round_change(message)
-
-    def _decided_digests(self) -> set[str]:
-        return {_digest(v) for v in self._decided_at.values()}
 
     # -- normal case ----------------------------------------------------------------------
 
@@ -206,14 +198,14 @@ class IbftReplica(ConsensusReplica):
         self._proposal[key] = message.value
         # Loss robustness: learn the value so this validator can drive
         # round changes that re-propose it.
-        self._requests.setdefault(_digest(message.value), message.value)
+        self._requests.setdefault(digest_of(message.value), message.value)
         self._ensure_active()
         if message.round < self.round:
             return
         if message.round > self.round:
             # The cluster moved on without us; adopt the newer round.
             self.round = message.round
-        digest = _digest(message.value)
+        digest = digest_of(message.value)
         if key not in self._sent_prepare:
             self._sent_prepare.add(key)
             prepare = IbftPrepare(
@@ -235,7 +227,7 @@ class IbftReplica(ConsensusReplica):
         if proposal_key not in self._proposal:
             return
         value = self._proposal[proposal_key]
-        if _digest(value) != message.digest:
+        if digest_of(value) != message.digest:
             return
         self._prepared_round = message.round
         self._prepared_value = value
@@ -258,7 +250,7 @@ class IbftReplica(ConsensusReplica):
             return
         proposal_key = (message.height, message.round)
         value = self._proposal.get(proposal_key)
-        if value is None or _digest(value) != message.digest:
+        if value is None or digest_of(value) != message.digest:
             return
         self._decide_height(value)
 
@@ -266,7 +258,7 @@ class IbftReplica(ConsensusReplica):
         if self.has_decided(self.height):
             return
         self._decide(self.height, value)
-        self._requests.pop(_digest(value), None)
+        self._requests.pop(digest_of(value), None)
         self._advance_height()
 
     def _after_catchup(self, sequence: int, value: Any) -> None:

@@ -16,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.consensus.base import ClusterConfig, ConsensusReplica
-from repro.crypto.digests import sha256_hex
-
-
-def _digest(value: Any) -> str:
-    return sha256_hex(repr(value))
-
+from repro.consensus.base import ClusterConfig, ConsensusReplica, digest_of
 
 Ballot = tuple[int, int]  # (attempt, replica_index); totally ordered
 
@@ -116,8 +110,8 @@ class PaxosReplica(ConsensusReplica):
     # -- client path ---------------------------------------------------------
 
     def submit(self, value: Any) -> None:
-        digest = _digest(value)
-        if any(_digest(v) == digest for v in self._decided_at.values()):
+        digest = digest_of(value)
+        if digest in self._decided_digests:
             # Duplicate of a decided request (client retry): retransmit
             # for laggards, but never reopen it locally — see the PBFT
             # submit path for the liveness bug this prevents.
@@ -168,9 +162,9 @@ class PaxosReplica(ConsensusReplica):
         self._arm_progress_timer(restart=True)
 
     def _on_progress_timeout(self) -> None:
-        decided = {_digest(v) for v in self._decided_at.values()}
         self._requests = {
-            d: v for d, v in self._requests.items() if d not in decided
+            d: v for d, v in self._requests.items()
+            if d not in self._decided_digests
         }
         if not self._requests and not self._out_of_order:
             self._progress_timer = None
@@ -263,12 +257,12 @@ class PaxosReplica(ConsensusReplica):
     # -- phase 2 ------------------------------------------------------------------
 
     def _propose(self, value: Any) -> None:
-        digest = _digest(value)
+        digest = digest_of(value)
         slot = self._slot_of.get(digest)
         if slot is not None:
             if not self.has_decided(slot):
                 return  # still in flight at that slot
-            if _digest(self._decided_at[slot]) == digest:
+            if digest_of(self._decided_at[slot]) == digest:
                 return  # already chosen there
             # The slot was decided with something else (gap fill):
             # fall through and re-propose at a fresh slot.
@@ -316,18 +310,15 @@ class PaxosReplica(ConsensusReplica):
     def _learn(self, slot: int, value: Any) -> None:
         if not self.has_decided(slot):
             self._decide(slot, value)
-        self._requests.pop(_digest(value), None)
+        self._requests.pop(digest_of(value), None)
         self._arm_progress_timer(restart=True)  # progress: fresh timeout
 
     # -- dispatch --------------------------------------------------------------------
 
     def on_message(self, src: str, message: object) -> None:
         if isinstance(message, ClientRequest):
-            digest = _digest(message.value)
-            already = any(
-                _digest(v) == digest for v in self._decided_at.values()
-            )
-            if not already:
+            digest = digest_of(message.value)
+            if digest not in self._decided_digests:
                 self._requests.setdefault(digest, message.value)
                 if self._is_leader:
                     self._propose(message.value)

@@ -19,11 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.crypto.digests import sha256_hex
-from repro.consensus.base import ClusterConfig, ConsensusReplica
-
-
-def _digest(value: Any) -> str:
-    return sha256_hex(repr(value))
+from repro.consensus.base import ClusterConfig, ConsensusReplica, digest_of
 
 
 #: Null request (Castro & Liskov section 4.4): a new leader fills
@@ -142,7 +138,10 @@ class PbftReplica(ConsensusReplica):
         return self.config.leader_of_view(self.view)
 
     def _slot(self, view: int, seq: int) -> _SlotState:
-        return self._slots.setdefault((view, seq), _SlotState())
+        slot = self._slots.get((view, seq))
+        if slot is None:
+            slot = self._slots[(view, seq)] = _SlotState()
+        return slot
 
     def _arm_timer(self, restart: bool = False) -> None:
         """Manage the view-progress timer (Castro & Liskov section 4.4).
@@ -182,8 +181,8 @@ class PbftReplica(ConsensusReplica):
     # -- client path ----------------------------------------------------------
 
     def submit(self, value: Any) -> None:
-        digest = _digest(value)
-        if digest in self._decided_digests():
+        digest = digest_of(value)
+        if digest in self._decided_digests:
             # Duplicate of an already-decided request (client retry):
             # retransmit so laggards learn of it, but never reopen it
             # locally — a decided digest parked in ``_requests`` makes
@@ -202,12 +201,12 @@ class PbftReplica(ConsensusReplica):
         self._arm_timer()
 
     def _propose(self, value: Any) -> None:
-        digest = _digest(value)
+        digest = digest_of(value)
         seq = self._seq_of.get(digest)
         if seq is not None:
             if not self.has_decided(seq):
                 return  # still in flight at that sequence
-            if _digest(self._decided_at[seq]) == digest:
+            if digest_of(self._decided_at[seq]) == digest:
                 return  # already decided there
             # Sequence was decided with something else (null fill):
             # fall through and re-propose at a fresh sequence.
@@ -244,16 +243,13 @@ class PbftReplica(ConsensusReplica):
             self._on_new_view(src, message)
 
     def _on_request(self, message: Request) -> None:
-        digest = _digest(message.value)
-        if digest in self._decided_digests():
+        digest = digest_of(message.value)
+        if digest in self._decided_digests:
             return
         self._requests.setdefault(digest, message.value)
         if self.is_leader and not self._in_view_change:
             self._propose(message.value)
         self._arm_timer()
-
-    def _decided_digests(self) -> set[str]:
-        return {_digest(v) for v in self._decided_at.values()}
 
     # -- normal case ------------------------------------------------------------
 
@@ -368,9 +364,9 @@ class PbftReplica(ConsensusReplica):
         # Drop entries that were decided through a path that missed the
         # bookkeeping (defence in depth): never demand a view change for
         # work that is already done.
-        decided = self._decided_digests()
         self._requests = {
-            d: v for d, v in self._requests.items() if d not in decided
+            d: v for d, v in self._requests.items()
+            if d not in self._decided_digests
         }
         if not self._requests and not self._out_of_order:
             self._view_timer = None
@@ -446,7 +442,7 @@ class PbftReplica(ConsensusReplica):
                 if current is None or view > current[0]:
                     best[seq] = (view, digest, value)
             for value in vote.pending:
-                pending[_digest(value)] = value
+                pending[digest_of(value)] = value
             max_seq = max(max_seq, vote.last_decided)
         max_seq = max(max_seq, max(self._decided_at, default=-1))
         entries: dict[int, tuple[str, Any]] = {}
@@ -463,7 +459,7 @@ class PbftReplica(ConsensusReplica):
             value = (
                 self._decided_at[seq] if self.has_decided(seq) else NOOP
             )
-            entries[seq] = (_digest(value), value)
+            entries[seq] = (digest_of(value), value)
         preprepares = [
             PrePrepare(view=new_view, seq=seq, digest=digest, value=value)
             for seq, (digest, value) in sorted(entries.items())
@@ -483,13 +479,10 @@ class PbftReplica(ConsensusReplica):
             self._accept_preprepare(preprepare)
         # Fresh proposals for requests that were never prepared.
         for digest, value in pending.items():
-            if not self.has_decided_value(digest):
+            if digest not in self._decided_digests:
                 self._requests.setdefault(digest, value)
                 self._propose(value)
         self._arm_timer(restart=True)  # new view entered: fresh timeout
-
-    def has_decided_value(self, digest: str) -> bool:
-        return digest in self._decided_digests()
 
     def _on_new_view(self, src: str, message: NewView) -> None:
         if message.new_view < self.view:
@@ -536,7 +529,7 @@ class EquivocatingPbftReplica(PbftReplica):
         half = len(self.peers) // 2
         for peer in self.peers[:half]:
             self.send(peer, PrePrepare(
-                view=self.view, seq=seq, digest=_digest(value), value=value))
+                view=self.view, seq=seq, digest=digest_of(value), value=value))
         for peer in self.peers[half:]:
             self.send(peer, PrePrepare(
-                view=self.view, seq=seq, digest=_digest(forged), value=forged))
+                view=self.view, seq=seq, digest=digest_of(forged), value=forged))

@@ -18,12 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any
 
-from repro.consensus.base import ClusterConfig, ConsensusReplica
-from repro.crypto.digests import sha256_hex
-
-
-def _digest(value: Any) -> str:
-    return sha256_hex(repr(value))
+from repro.consensus.base import ClusterConfig, ConsensusReplica, digest_of
 
 
 #: Filler entry a new leader appends when its log ends in uncommitted
@@ -149,8 +144,8 @@ class RaftReplica(ConsensusReplica):
     # -- client path -------------------------------------------------------
 
     def submit(self, value: Any) -> None:
-        digest = _digest(value)
-        if digest in self._decided_at_digests():
+        digest = digest_of(value)
+        if digest in self._decided_digests:
             # Duplicate of a committed request (client retry): retransmit
             # so lagging followers learn of it, but don't reopen it.
             self.broadcast(ClientRequest(value=value), targets=self.peers)
@@ -161,7 +156,7 @@ class RaftReplica(ConsensusReplica):
             self._leader_append(value)
 
     def _leader_append(self, value: Any) -> None:
-        digest = _digest(value)
+        digest = digest_of(value)
         if digest in self._appended_digests:
             return
         self._appended_digests.add(digest)
@@ -186,15 +181,12 @@ class RaftReplica(ConsensusReplica):
             self._on_append_reply(message)
 
     def _on_client_request(self, message: ClientRequest) -> None:
-        digest = _digest(message.value)
-        if digest in self._decided_at_digests():
+        digest = digest_of(message.value)
+        if digest in self._decided_digests:
             return
         self._requests.setdefault(digest, message.value)
         if self.role is Role.LEADER:
             self._leader_append(message.value)
-
-    def _decided_at_digests(self) -> set[str]:
-        return {_digest(v) for v in self._decided_at.values()}
 
     # -- elections ---------------------------------------------------------------
 
@@ -251,7 +243,7 @@ class RaftReplica(ConsensusReplica):
         next_index = len(self.log)
         self._next_index = {peer: next_index for peer in self.peers}
         self._match_index = {peer: -1 for peer in self.peers}
-        self._appended_digests = {_digest(v) for _, v in self.log}
+        self._appended_digests = {digest_of(v) for _, v in self.log}
         # Propose every undecided value this replica knows about.
         for value in list(self._requests.values()):
             self._leader_append(value)
@@ -395,4 +387,4 @@ class RaftReplica(ConsensusReplica):
             self.commit_index += 1
             term, value = self.log[self.commit_index]
             self._decide(self.commit_index, value)
-            self._requests.pop(_digest(value), None)
+            self._requests.pop(digest_of(value), None)

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.errors import ConfigError
-from repro.consensus.base import ClusterConfig, ConsensusReplica
-from repro.crypto.digests import sha256_hex
-
-
-def _digest(value: Any) -> str:
-    return sha256_hex(repr(value))
+from repro.consensus.base import ClusterConfig, ConsensusReplica, digest_of
 
 
 @dataclass(frozen=True)
@@ -129,8 +124,8 @@ class TendermintReplica(ConsensusReplica):
     # -- client path ------------------------------------------------------------
 
     def submit(self, value: Any) -> None:
-        digest = _digest(value)
-        if digest in self._decided_value_digests():
+        digest = digest_of(value)
+        if digest in self._decided_digests:
             # Duplicate of a decided request (client retry): retransmit
             # so lagging validators learn of it, but don't reopen it —
             # a stale entry in ``_requests`` would get re-proposed (and
@@ -225,8 +220,8 @@ class TendermintReplica(ConsensusReplica):
             self._future.append((src, message))
             return
         if isinstance(message, ClientRequest):
-            digest = _digest(message.value)
-            if digest not in self._decided_value_digests():
+            digest = digest_of(message.value)
+            if digest not in self._decided_digests:
                 self._requests.setdefault(digest, message.value)
                 self._ensure_active()
         elif isinstance(message, TmProposal):
@@ -255,9 +250,6 @@ class TendermintReplica(ConsensusReplica):
         if 3 * power > self.total_power:
             self._start_round(round_)
 
-    def _decided_value_digests(self) -> set[str]:
-        return {_digest(v) for v in self._decided_at.values()}
-
     # -- propose / prevote ------------------------------------------------------------
 
     def _on_proposal(self, src: str, message: TmProposal) -> None:
@@ -267,9 +259,9 @@ class TendermintReplica(ConsensusReplica):
             return
         key = (message.height, message.round)
         self._proposals.setdefault(key, message)
-        digest = _digest(message.value)
+        digest = digest_of(message.value)
         self._values[digest] = message.value
-        if digest not in self._decided_value_digests():
+        if digest not in self._decided_digests:
             self._requests.setdefault(digest, message.value)
             self._ensure_active()
         if key in self._prevoted or message.round != self.round:
@@ -351,7 +343,7 @@ class TendermintReplica(ConsensusReplica):
         if self.has_decided(self.height):
             return
         self._decide(self.height, value)
-        self._requests.pop(_digest(value), None)
+        self._requests.pop(digest_of(value), None)
         self._advance_height()
 
     def _advance_height(self) -> None:
