@@ -274,31 +274,39 @@ class MemoryBackend:
 
 
 class OsBackend:
-    """Real files under one directory; the measured-durability backend."""
+    """Real files under one directory; the measured-durability backend.
+
+    Range reads ``os.pread`` from one kept-open read-only descriptor
+    per file (run files are write-once and read a block at a time). It
+    is dropped on ``delete``/``replace``/``simulate_crash``/``close``
+    and when an append handle opens on the name, so a recycled name is
+    always re-opened.
+    """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._handles: dict[str, object] = {}
+        self._readers: dict[str, int] = {}
 
     def _path(self, name: str) -> Path:
         return self.root / name
 
-    def append(self, name: str, data: bytes) -> None:
+    def _append_handle(self, name: str):
         handle = self._handles.get(name)
         if handle is None:
-            handle = open(self._path(name), "ab")
-            self._handles[name] = handle
-        handle.write(data)  # type: ignore[attr-defined]
+            self._drop_reader(name)
+            handle = self._handles[name] = open(self._path(name), "ab")
+        return handle
+
+    def append(self, name: str, data: bytes) -> None:
+        self._append_handle(name).write(data)
         STORAGE_COUNTERS["appends"] += 1
 
     def fsync(self, name: str) -> None:
-        handle = self._handles.get(name)
-        if handle is None:
-            handle = open(self._path(name), "ab")
-            self._handles[name] = handle
-        handle.flush()  # type: ignore[attr-defined]
-        os.fsync(handle.fileno())  # type: ignore[attr-defined]
+        handle = self._append_handle(name)
+        handle.flush()
+        os.fsync(handle.fileno())
         STORAGE_COUNTERS["fsyncs"] += 1
 
     def replace(self, name: str, data: bytes) -> None:
@@ -319,19 +327,21 @@ class OsBackend:
             raise StorageError(f"no such file: {name!r}") from None
 
     def read_range(self, name: str, offset: int, length: int) -> bytes:
-        """Seek-and-read one slice — what lets the paged store decode a
-        single 4KB block without pulling the whole run into memory."""
+        """Read one slice — what lets the paged store verify a single
+        4KB block without pulling the whole run into memory."""
         self._flush_handle(name)
         if offset < 0 or length < 0:
             raise StorageError(
                 f"negative read_range ({offset}, {length}) on {name!r}"
             )
-        try:
-            with open(self._path(name), "rb") as handle:
-                handle.seek(offset)
-                return handle.read(length)
-        except FileNotFoundError:
-            raise StorageError(f"no such file: {name!r}") from None
+        fd = self._readers.get(name)
+        if fd is None:
+            try:
+                fd = os.open(self._path(name), os.O_RDONLY)
+            except FileNotFoundError:
+                raise StorageError(f"no such file: {name!r}") from None
+            self._readers[name] = fd
+        return os.pread(fd, length, offset)
 
     def exists(self, name: str) -> bool:
         self._flush_handle(name)
@@ -363,9 +373,11 @@ class OsBackend:
         contents persist — real durability is the kernel's job here."""
         STORAGE_COUNTERS["crashes"] += 1
         self._handles.clear()
+        for name in list(self._readers):
+            self._drop_reader(name)
 
     def close(self) -> None:
-        for name in list(self._handles):
+        for name in {*self._handles, *self._readers}:
             self._close_handle(name)
 
     def _flush_handle(self, name: str) -> None:
@@ -374,6 +386,13 @@ class OsBackend:
             handle.flush()  # type: ignore[attr-defined]
 
     def _close_handle(self, name: str) -> None:
+        """Close whatever is open on ``name``, append handle and reader."""
         handle = self._handles.pop(name, None)
         if handle is not None:
             handle.close()  # type: ignore[attr-defined]
+        self._drop_reader(name)
+
+    def _drop_reader(self, name: str) -> None:
+        fd = self._readers.pop(name, None)
+        if fd is not None:
+            os.close(fd)

@@ -127,33 +127,67 @@ def checksum(payload: bytes) -> str:
     return sha256_hex(payload)
 
 
-# -- blocked run format (v2) ---------------------------------------------------
+# -- blocked run format (v3) ---------------------------------------------------
+#
+# A block payload is its rows, each canonical JSON, between newlines:
+# ``\n`` row ``\n`` row ... ``\n``. ``json.dumps`` escapes control
+# characters, so a raw newline occurs only where the frame put one, the
+# row for ``key`` is *the* substring starting ``\n[<key as JSON>,``, and
+# the payload is exactly as long as the JSON list of the same rows.
+
+_KEY_JSON = json.encoder.encode_basestring_ascii
+_SCAN_JSON = json.JSONDecoder().scan_once
 
 
 def encode_row(row: list[Any]) -> str:
-    """One run row as canonical JSON (the unit block payloads join)."""
+    """One run row as canonical JSON (the unit block payloads frame)."""
     return json.dumps(row, sort_keys=True, separators=(",", ":"))
 
 
+def frame_rows(encoded: list[str]) -> bytes:
+    """One run block from its pre-encoded rows — the only place a block
+    payload is written."""
+    return ("\n" + "\n".join(encoded) + "\n").encode()
+
+
 def encode_block_rows(rows: list[list[Any]]) -> bytes:
-    """One run block: the canonical-JSON list of its rows."""
-    return json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
+    """One run block: its rows, newline-framed."""
+    return frame_rows([encode_row(row) for row in rows])
+
+
+def block_text(payload: bytes, where: str) -> str:
+    """A checksum-verified block payload as searchable text.
+    StorageError unless it is UTF-8 and newline-framed — searching an
+    unframed one would report present keys as absent."""
+    try:
+        text = payload.decode()
+    except UnicodeDecodeError as exc:
+        raise StorageError(f"undecodable run block in {where}") from exc
+    if len(text) < 2 or text[0] != "\n" or text[-1] != "\n":
+        raise StorageError(f"unframed run block in {where}")
+    return text
 
 
 def decode_block_rows(payload: bytes, where: str) -> list[list[Any]]:
-    """Inverse of :func:`encode_block_rows`; StorageError on garbage.
-
-    Decode failures are :class:`ValueError` (bad JSON) or
-    :class:`UnicodeDecodeError` (bad bytes) — caught narrowly so control
-    exceptions like ``KeyboardInterrupt`` always propagate.
-    """
+    """Inverse of :func:`encode_block_rows` — every row of the block,
+    for scans and compaction; StorageError on garbage."""
+    body = block_text(payload, where)[1:-1]
     try:
-        rows = json.loads(payload.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
+        return json.loads("[" + body.replace("\n", ",") + "]")
+    except ValueError as exc:
         raise StorageError(f"undecodable run block in {where}") from exc
-    if not isinstance(rows, list):
-        raise StorageError(f"malformed run block in {where}")
-    return rows
+
+
+def find_row(text: str, key: str, where: str) -> list[Any] | None:
+    """The row for ``key`` in one block's :func:`block_text`, decoding
+    that row only; None when the block does not hold the key."""
+    at = text.find("\n[" + _KEY_JSON(key) + ",")
+    if at < 0:
+        return None
+    try:
+        return _SCAN_JSON(text, at + 1)[0]
+    except (ValueError, StopIteration) as exc:
+        raise StorageError(f"undecodable run row in {where}") from exc
 
 
 class KeyFilter:

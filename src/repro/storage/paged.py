@@ -17,11 +17,14 @@ run files, LSM style:
   **newest to oldest**;
 * per run it consults the key filter (a definite *no* skips the run
   without touching a single block), binary-searches the block index for
-  the only block that could hold the key, and decodes just that ~4KB
-  block;
-* decoded blocks live in a shared :class:`BlockCache` — a byte-budget
-  LRU — so hot keys cost O(log block) with zero I/O while the resident
-  set stays within the configured budget whatever the state size.
+  the only block that could hold the key, and finds the key's row in
+  that ~4KB block's text — one substring search, one row decoded (run
+  format v3 frames rows between newlines so that the search is exact;
+  see :mod:`repro.storage.codec`);
+* blocks live in a shared :class:`BlockCache` — a byte-budget LRU — as
+  the **verified text** read from disk, so a hit and a miss share one
+  lookup path, hot keys cost zero I/O and no checksum, and the budget
+  is the resident size whatever the state size.
 
 Writes land in the inherited COW overlay stack, which is never folded
 into the (empty) base: the base-fold would drop tombstones that must
@@ -52,13 +55,13 @@ from repro.ledger.store import (
     VersionedValue,
     is_tombstone,
 )
-from repro.storage.codec import KeyFilter
-from repro.storage.snapshots import (
-    RUN_FORMAT,
-    read_run_block,
-    read_run_footer,
-    read_run_v1,
+from repro.storage.codec import (
+    KeyFilter,
+    block_text,
+    decode_block_rows,
+    find_row,
 )
+from repro.storage.snapshots import read_run_block, read_run_footer
 
 #: Default block-cache budget: small enough that the E23 sweeps push
 #: state well past it, big enough that hot working sets stay resident.
@@ -66,14 +69,15 @@ DEFAULT_CACHE_BYTES = 4 * 1024 * 1024
 
 
 class BlockCache:
-    """Shared byte-budget LRU over decoded run blocks.
+    """Shared byte-budget LRU over run blocks, held as verified text.
 
-    Keyed by ``(run file name, block index)``; the charge of an entry is
-    the *encoded* block length (what one cache fill read from disk), so
-    the budget tracks I/O-sized bytes, not Python object overhead.
-    Counters land in :data:`~repro.ledger.store.STORE_COUNTERS`
-    (``block_cache_hits`` / ``block_cache_misses`` /
-    ``block_cache_evictions``) for the E23 gates.
+    Keyed by ``(run file name, block index)``; an entry is the block's
+    :func:`~repro.storage.codec.block_text`, verified when it was read,
+    charged at its length — canonical JSON is ASCII, so that is what
+    the string occupies. Counters land in
+    :data:`~repro.ledger.store.STORE_COUNTERS` (``block_cache_hits`` /
+    ``block_cache_misses`` / ``block_cache_evictions``) for the E23
+    gates.
     """
 
     def __init__(self, budget_bytes: int = DEFAULT_CACHE_BYTES) -> None:
@@ -82,9 +86,7 @@ class BlockCache:
                 f"cache budget must be >= 0, got {budget_bytes}"
             )
         self.budget_bytes = budget_bytes
-        self._entries: "OrderedDict[tuple[str, int], tuple[list, int]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[tuple[str, int], str]" = OrderedDict()
         self._bytes = 0
 
     def __len__(self) -> int:
@@ -94,40 +96,39 @@ class BlockCache:
     def resident_bytes(self) -> int:
         return self._bytes
 
-    def get(self, run: "PagedRun", index: int) -> list[list[Any]]:
-        """The block's decoded rows, filling + evicting as needed."""
+    def get(self, run: "PagedRun", index: int) -> str:
+        """The block's text, filling + evicting as needed."""
         key = (run.name, index)
-        hit = self._entries.get(key)
-        if hit is not None:
+        text = self._entries.get(key)
+        if text is not None:
             self._entries.move_to_end(key)
             STORE_COUNTERS["block_cache_hits"] += 1
-            return hit[0]
+            return text
         STORE_COUNTERS["block_cache_misses"] += 1
-        rows, charge = run.read_block(index)
-        self._entries[key] = (rows, charge)
-        self._bytes += charge
+        text = block_text(run.read_block(index), run.name)
+        self._entries[key] = text
+        self._bytes += len(text)
         # Evict LRU-first down to budget; the just-filled block is never
         # evicted (an oversized single block would otherwise thrash).
         while self._bytes > self.budget_bytes and len(self._entries) > 1:
-            _, (_, freed) = self._entries.popitem(last=False)
-            self._bytes -= freed
+            _, evicted = self._entries.popitem(last=False)
+            self._bytes -= len(evicted)
             STORE_COUNTERS["block_cache_evictions"] += 1
-        return rows
+        return text
 
-    def drop_run(self, name: str) -> None:
-        """Purge every block of one run (its file is being deleted)."""
-        for key in [k for k in self._entries if k[0] == name]:
-            _, charge = self._entries.pop(key)
-            self._bytes -= charge
+    def drop_runs(self, names) -> None:
+        """Purge every block of the named runs (their files are being
+        deleted) in one pass over the entries."""
+        names = set(names)
+        for key in [k for k in self._entries if k[0] in names]:
+            self._bytes -= len(self._entries.pop(key))
 
 
 class PagedRun:
     """One run file opened for point lookups: footer resident, rows not.
 
     Opening reads + verifies only the footer (block index + key filter)
-    — O(index), never the row blocks. Legacy v1 runs (one JSON blob, no
-    footer) are modelled as a single block with no filter, so old
-    directories page too, just with coarser granularity.
+    — O(index), never the row blocks.
     """
 
     __slots__ = ("backend", "entry", "name", "filter", "blocks", "firsts")
@@ -136,69 +137,36 @@ class PagedRun:
         self.backend = backend
         self.entry = entry
         self.name = entry["name"]
-        version = int(entry.get("format", 1))
-        if version == RUN_FORMAT:
-            footer = read_run_footer(backend, entry)
-            self.blocks = footer["blocks"]
-            self.filter: KeyFilter | None = KeyFilter.from_dict(
-                footer["filter"]
-            )
-            self.firsts = [spec["first"] for spec in self.blocks]
-        elif version == 1:
-            if not backend.exists(self.name):
-                raise StorageError(f"missing snapshot run {self.name!r}")
-            self.blocks = None  # legacy blob: one implicit block
-            self.filter = None
-            self.firsts = None
-        else:
-            raise StorageError(
-                f"unknown run format {version} in snapshot run {self.name!r}"
-            )
+        footer = read_run_footer(backend, entry)
+        self.blocks = footer["blocks"]
+        self.filter = KeyFilter.from_dict(footer["filter"])
+        self.firsts = [spec["first"] for spec in self.blocks]
 
-    def read_block(self, index: int) -> tuple[list[list[Any]], int]:
-        """Decode one block; returns (rows, encoded-size charge)."""
-        if self.blocks is None:
-            rows = read_run_v1(self.backend, self.entry)
-            return rows, self.backend.size(self.name)
-        spec = self.blocks[index]
-        return read_run_block(self.backend, self.name, spec), spec["len"]
+    def read_block(self, index: int) -> bytes:
+        """One block's payload, length- and checksum-verified."""
+        return read_run_block(self.backend, self.name, self.blocks[index])
 
     def block_count(self) -> int:
-        return 1 if self.blocks is None else len(self.blocks)
+        return len(self.blocks)
 
     def lookup(
         self, key: str, pair: tuple[int, int], cache: BlockCache
     ) -> list[Any] | None:
         """The row for ``key`` in this run (tombstone rows included), or
-        None — touching at most one block. ``pair`` is the key's
-        :meth:`KeyFilter.hash_pair`, derived once per lookup, not per
-        run."""
-        if self.filter is not None and not self.filter.might_contain(pair):
+        None — touching at most one block and decoding at most one row.
+        ``pair`` is the key's :meth:`KeyFilter.hash_pair`, derived once
+        per lookup, not per run."""
+        if not self.filter.might_contain(pair):
             STORE_COUNTERS["filter_skips"] += 1
             return None
-        if self.blocks is None:
-            index = 0
-        else:
-            index = bisect_right(self.firsts, key) - 1
-            if index < 0:
-                if self.filter is not None:
-                    STORE_COUNTERS["filter_false_positives"] += 1
-                return None
-        rows = cache.get(self, index)
-        position = bisect_left(rows, key, key=lambda row: row[0])
-        if position < len(rows) and rows[position][0] == key:
-            return rows[position]
-        if self.filter is not None:
+        index = bisect_right(self.firsts, key) - 1
+        row = (
+            find_row(cache.get(self, index), key, self.name)
+            if index >= 0 else None
+        )
+        if row is None:
             STORE_COUNTERS["filter_false_positives"] += 1
-        return None
-
-    def iter_rows(self) -> Iterator[list[Any]]:
-        """Stream every row in key order, bypassing the cache — scans
-        (audits, ``keys()``) must not evict the point-lookup working
-        set."""
-        for index in range(self.block_count()):
-            rows, _charge = self.read_block(index)
-            yield from rows
+        return row
 
     def scan(
         self, start: str | None = None, end: str | None = None
@@ -210,31 +178,18 @@ class PagedRun:
         block (the last one whose first key is <= ``start``) and stops
         as soon as a block's first key passes ``end`` — so the work is
         O(blocks-in-range + log blocks), never O(run). Bypasses the
-        block cache like :meth:`iter_rows` (a wide scan must not evict
-        the point-lookup working set); every decode is counted in
+        block cache (a wide scan must not evict the point-lookup
+        working set); every decode is counted in
         ``STORE_COUNTERS["range_block_decodes"]``, which the E24 gate
         pins to range size while total blocks grow.
         """
-        if self.blocks is None:
-            # Legacy v1 blob: one implicit block, filtered in memory.
-            rows, _charge = self.read_block(0)
-            STORE_COUNTERS["range_block_decodes"] += 1
-            for row in rows:
-                if start is not None and row[0] < start:
-                    continue
-                if end is not None and row[0] > end:
-                    break
-                yield row
-            return
-        if not self.blocks:
-            return
         index = 0
         if start is not None:
             index = max(0, bisect_right(self.firsts, start) - 1)
         while index < len(self.blocks):
             if end is not None and self.firsts[index] > end:
                 break
-            rows, _charge = self.read_block(index)
+            rows = decode_block_rows(self.read_block(index), self.name)
             STORE_COUNTERS["range_block_decodes"] += 1
             position = 0
             if start is not None:
@@ -403,18 +358,31 @@ class PagedStateStore(StateStore):
         return
 
     def rebase(self, run_entries) -> None:
-        """Swap the run set after a disk compaction rewrote it.
+        """Swap the run set after a spill or disk compaction changed it.
 
         Safe mid-life because every write since recovery still lives in
-        the overlays, which keep superseding whatever the new runs say;
-        the cache entries of the dropped files are purged so stale
-        blocks cannot serve reads for a recycled run name. Snapshots
-        taken before the rebase become invalid (their files are gone) —
-        the documented :class:`PagedSnapshot` lifetime.
+        the overlays, which keep superseding whatever the new runs say.
+        An entry whose name **and** footer checksum are unchanged keeps
+        its open :class:`PagedRun` and cached blocks; other entries are
+        opened, and the blocks of every name that left are purged.
+        Keeping is safe because a run id is never reused for a run a
+        manifest has referenced: ids only grow, and the one name that
+        can be written twice is an orphan's — deleted before the
+        rewrite and, never having been in a manifest, never cached.
+        Snapshots taken before the rebase become invalid once their
+        files are gone — the documented :class:`PagedSnapshot` lifetime.
         """
-        for run in self._runs:
-            self.cache.drop_run(run.name)
-        self._runs = [PagedRun(self.backend, entry) for entry in run_entries]
+        dropped = {run.name: run for run in self._runs}
+        runs = []
+        for entry in run_entries:
+            run = dropped.get(entry["name"])
+            if run is not None and run.entry["checksum"] == entry["checksum"]:
+                del dropped[run.name]
+            else:
+                run = PagedRun(self.backend, entry)
+            runs.append(run)
+        self.cache.drop_runs(dropped)
+        self._runs = runs
 
     def collapse(self, run_entries) -> None:
         """Rebase onto ``run_entries`` *and* drop every overlay.

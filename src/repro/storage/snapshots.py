@@ -10,17 +10,20 @@ style:
   :meth:`~repro.ledger.store.StateStore.sealed_overlays` public
   contract; later overlays supersede earlier ones) into one sorted,
   **blocked** run file.
-* A **run file** (format v2) is a sequence of ~4KB blocks of sorted,
+* A **run file** (format v3) is a sequence of ~4KB blocks of sorted,
   canonical-JSON rows — each block individually checksummed — followed
   by a footer holding the block index (first key / offset / length /
   checksum per block) and a compact key-membership filter
   (:class:`~repro.storage.codec.KeyFilter`), and a fixed trailer
-  locating the footer. The manifest entry records the footer checksum
-  and a ``format`` version; the pre-blocking v1 format (one JSON blob,
-  whole-file checksum) is still readable, so old directories recover
-  unchanged. Blocked layout is what the paged read path
-  (:mod:`repro.storage.paged`) needs: a point lookup consults the
-  filter, binary-searches the index, and decodes exactly one block.
+  locating the footer. Inside a block the rows sit between newlines,
+  which canonical JSON never contains, so a key's row is found by one
+  substring search (:func:`~repro.storage.codec.find_row`): a point
+  lookup of the paged read path (:mod:`repro.storage.paged`) consults
+  the filter, binary-searches the index, verifies one block and
+  decodes one row. The manifest entry records the footer checksum and
+  the ``format`` version; a run of any other version (v2 blocks were
+  JSON lists, v1 one unblocked blob) is rejected by name, and a
+  durable node holding one resyncs.
 * The **manifest** is the tiny root of trust: the ordered list of live
   runs (with checksums), the snapshot height, the anchor block the WAL
   tail continues from, and the live WAL segments. It is replaced
@@ -64,6 +67,7 @@ from repro.storage.codec import (
     decode_block_rows,
     encode_row,
     entry_to_row,
+    frame_rows,
     row_to_entry,
 )
 
@@ -73,16 +77,17 @@ MANIFEST_FORMAT = "repro-manifest/v1"
 RUN_PREFIX = "snap-"
 RUN_SUFFIX = ".json"
 
-#: Current run-file format. v1 = one JSON blob, whole-file checksum;
-#: v2 = sorted checksummed blocks + footer index + key filter.
-RUN_FORMAT = 2
+#: The run-file format: sorted checksummed blocks of newline-framed
+#: rows + footer index + key filter. The only one written or read.
+RUN_FORMAT = 3
 
 #: Target encoded size of one run block. Small enough that a point
-#: lookup decodes ~a hundred rows; large enough that the per-block
+#: lookup verifies and searches ~4KB; large enough that the per-block
 #: index stays ~1% of the data.
 BLOCK_TARGET_BYTES = 4096
 
-#: Run-file trailer: footer length + magic, fixed size at end-of-file.
+#: Run-file trailer: footer length + magic, fixed size at end-of-file
+#: (the magic names the trailer layout, unchanged since v2).
 _TRAILER = struct.Struct(">Q4s")
 _RUN_MAGIC = b"RUN2"
 
@@ -116,21 +121,18 @@ class CompactionPolicy:
     recorded explicitly in the manifest entry (``"tier"``) rather than
     derived from file size: heavy overwrite workloads dedup a merged
     band back down to its inputs' size, and size-derived tiers would
-    then re-merge the same data forever. (Entries written before this
-    field fall back to a size-derived tier — log base ``fanout`` of
-    bytes over ``tier_base``.) Bands must be age-contiguous because key
-    shadowing between runs is positional (newest run wins; tombstone
-    rows carry the sentinel version ``(-1, -1)``, so versions cannot
-    order them) — merging a non-contiguous subset would let an old
-    value resurface over a newer run left in the gap. Tombstones drop
-    only when the band includes the oldest run (nothing below is left
-    to mask).
+    then re-merge the same data forever. Bands must be age-contiguous
+    because key shadowing between runs is positional (newest run wins;
+    tombstone rows carry the sentinel version ``(-1, -1)``, so versions
+    cannot order them) — merging a non-contiguous subset would let an
+    old value resurface over a newer run left in the gap. Tombstones
+    drop only when the band includes the oldest run (nothing below is
+    left to mask).
     """
 
     kind: str = "full"
     max_runs: int = DEFAULT_MAX_RUNS
     fanout: int = 4
-    tier_base: int = 16 * 1024
 
     def __post_init__(self) -> None:
         if self.kind not in ("full", "tiered"):
@@ -141,10 +143,6 @@ class CompactionPolicy:
             raise StorageError(f"max_runs must be >= 1, got {self.max_runs}")
         if self.fanout < 2:
             raise StorageError(f"fanout must be >= 2, got {self.fanout}")
-        if self.tier_base < 1:
-            raise StorageError(
-                f"tier_base must be >= 1, got {self.tier_base}"
-            )
 
     @classmethod
     def parse(
@@ -168,23 +166,6 @@ class CompactionPolicy:
             return cls(kind="tiered", max_runs=max_runs, fanout=fanout)
         raise StorageError(f"unknown compaction policy {spec!r}")
 
-    def tier_of(self, size_bytes: int) -> int:
-        """Size-derived fallback tier (0 = smallest) for manifest
-        entries written before the explicit ``"tier"`` field."""
-        tier = 0
-        size = max(1, int(size_bytes))
-        while size > self.tier_base:
-            size //= self.fanout
-            tier += 1
-        return tier
-
-    def entry_tier(self, entry: dict[str, Any]) -> int:
-        """A run's tier: the recorded field, or the size fallback."""
-        tier = entry.get("tier")
-        if tier is not None:
-            return int(tier)
-        return self.tier_of(int(entry.get("bytes", 0)))
-
     def select_band(
         self, entries: list[dict[str, Any]]
     ) -> tuple[int, int] | None:
@@ -192,7 +173,7 @@ class CompactionPolicy:
         ``(start, count)`` over manifest positions — or None."""
         if self.kind != "tiered":
             return None
-        tiers = [self.entry_tier(e) for e in entries]
+        tiers = [int(e["tier"]) for e in entries]
         start = 0
         while start < len(tiers):
             end = start
@@ -272,7 +253,7 @@ def merge_overlays(overlays) -> dict[str, Any]:
     return merged
 
 
-# -- the blocked run format (v2) ----------------------------------------------
+# -- the blocked run format ----------------------------------------------------
 
 
 class RunWriter:
@@ -339,9 +320,7 @@ class RunWriter:
     def _flush_block(self) -> None:
         if not self._encoded:
             return
-        # Joining the pre-encoded rows reproduces json.dumps(rows) with
-        # canonical separators byte-for-byte.
-        payload = ("[" + ",".join(self._encoded) + "]").encode()
+        payload = frame_rows(self._encoded)
         self.backend.append(self.name, payload)
         self.blocks.append({
             "first": self._first_key,
@@ -387,9 +366,16 @@ class RunWriter:
 
 
 def read_run_footer(backend, entry: dict[str, Any]) -> dict[str, Any]:
-    """Read + verify one v2 run's footer (index + filter) — O(footer),
-    never touching the row blocks. StorageError on any corruption."""
+    """Read + verify one run's footer (index + filter) — O(footer),
+    never touching the row blocks. StorageError on any corruption and
+    on an entry of any format but :data:`RUN_FORMAT` (every reader
+    opens a run through here: this is the one format check)."""
     name = entry["name"]
+    if entry.get("format") != RUN_FORMAT:
+        raise StorageError(
+            f"unknown run format {entry.get('format')!r} in snapshot run "
+            f"{name!r}"
+        )
     if not backend.exists(name):
         raise StorageError(f"missing snapshot run {name!r}")
     size = backend.size(name)
@@ -416,31 +402,13 @@ def read_run_footer(backend, entry: dict[str, Any]) -> dict[str, Any]:
     return footer
 
 
-def read_run_block(
-    backend, name: str, spec: dict[str, Any]
-) -> list[list[Any]]:
-    """Read + verify exactly one block of a v2 run (one ``read_range``)."""
+def read_run_block(backend, name: str, spec: dict[str, Any]) -> bytes:
+    """Read exactly one block of a run (one ``read_range``), verified:
+    nothing looks inside a block whose length or checksum is off."""
     payload = backend.read_range(name, spec["off"], spec["len"])
     if len(payload) != spec["len"] or checksum(payload) != spec["sum"]:
         raise StorageError(f"block checksum mismatch in run {name!r}")
-    return decode_block_rows(payload, name)
-
-
-def read_run_v1(backend, entry: dict[str, Any]) -> list[list[Any]]:
-    """The pre-blocking run format: one JSON blob, whole-file checksum."""
-    name = entry["name"]
-    if not backend.exists(name):
-        raise StorageError(f"missing snapshot run {name!r}")
-    payload = backend.read(name)
-    if checksum(payload) != entry["checksum"]:
-        raise StorageError(f"checksum mismatch in snapshot run {name!r}")
-    try:
-        rows = json.loads(payload.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
-        # Narrow on decode failures only: a blanket except here used
-        # to swallow KeyboardInterrupt/SystemExit mid-recovery.
-        raise StorageError(f"undecodable snapshot run {name!r}") from exc
-    return rows
+    return payload
 
 
 class SnapshotStore:
@@ -505,28 +473,17 @@ class SnapshotStore:
         return writer.finish()
 
     def read_run(self, entry: dict[str, Any]) -> list[list[Any]]:
-        """Read + verify one whole run; StorageError on any corruption.
-
-        Dispatches on the entry's ``format``: v2 verifies the footer
-        then every block; v1 (entries without a format field, written
-        before the blocked layout) verifies the whole-file checksum.
-        """
+        """Read + verify one whole run (footer, then every block);
+        StorageError on any corruption."""
         return list(self.iter_run_rows(entry))
 
     def iter_run_rows(self, entry: dict[str, Any]) -> Iterator[list[Any]]:
         """Stream one run's rows in key order, one block in memory at a
-        time (v1 runs decode whole — the legacy blob has no blocks)."""
-        version = int(entry.get("format", 1))
+        time."""
         name = entry["name"]
-        if version == 1:
-            yield from read_run_v1(self.backend, entry)
-        elif version == RUN_FORMAT:
-            footer = read_run_footer(self.backend, entry)
-            for spec in footer["blocks"]:
-                yield from read_run_block(self.backend, name, spec)
-        else:
-            raise StorageError(
-                f"unknown run format {version} in snapshot run {name!r}"
+        for spec in read_run_footer(self.backend, entry)["blocks"]:
+            yield from decode_block_rows(
+                read_run_block(self.backend, name, spec), name
             )
 
     def orphan_runs(self, manifest: dict[str, Any] | None) -> list[str]:
@@ -680,7 +637,7 @@ class SnapshotStore:
         new_entry = writer.finish()
         # Promote the merged run one tier above its inputs — explicit,
         # not size-derived, so dedup-heavy merges still move upward.
-        tier = max(self.policy.entry_tier(e) for e in band) + 1
+        tier = max(int(e["tier"]) for e in band) + 1
         new_entry["tier"] = tier
         new_manifest = dict(manifest)
         new_manifest["runs"] = (

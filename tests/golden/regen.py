@@ -1,10 +1,15 @@
-"""Golden consensus digests: one committed digest per (protocol, seed, plan).
+"""Golden digests: committed digests of seeded runs, one file per tier.
 
 ``consensus_digests.json`` pins the *virtual* behaviour of the ordering
 tier across commits: every replica's decided log, every decide time,
-the message and byte totals, the event count and the final clock. A PR
-that only changes how fast the code runs leaves the file untouched; a
-PR that moves a row must say so.
+the message and byte totals, the event count and the final clock.
+``storage_digests.json`` pins the durable tier the same way, two rows
+per (mode, seed): ``state`` covers what was committed and how many
+bytes each sink wrote, ``checksums`` only the run files' content
+checksums — so a change of on-disk encoding that moves no size, root or
+byte total shows as ``checksums`` rows moving and ``state`` rows not. A
+PR that only changes how fast the code runs leaves both files
+untouched; a PR that moves a row must say so.
 
 Regenerate (from the repo root)::
 
@@ -14,22 +19,25 @@ Regenerate (from the repo root)::
 from __future__ import annotations
 
 import json
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from repro.consensus import PROTOCOLS, ConsensusCluster
 from repro.core import SystemConfig
 from repro.crypto.digests import sha256_hex
 from repro.gateway import GatewayConfig, GatewayRun
+from repro.ledger.store import STORE_COUNTERS
 from repro.sim.faults import FaultPlan
 from repro.sim.network import LanLatency
+from repro.storage import DurableCluster, SnapshotStore, state_root
 from repro.workloads.openloop import (
     OpenLoopConfig,
     OpenLoopWorkload,
     ramp_steady_burst,
 )
 
-GOLDEN_FILE = Path(__file__).with_name("consensus_digests.json")
+CONSENSUS_FILE = Path(__file__).with_name("consensus_digests.json")
+STORAGE_FILE = Path(__file__).with_name("storage_digests.json")
 
 SEEDS = (1, 11)
 PLANS = ("retries", "chaos")
@@ -98,15 +106,105 @@ def consensus_row(protocol: str, seed: int, plan: str) -> str:
     return consensus_digest(run_consensus(protocol, seed, plan))
 
 
-#: Row name -> thunk computing that row's digest.
-ROWS = {
-    f"{protocol}/seed{seed}/{plan}": partial(consensus_row, protocol, seed, plan)
-    for protocol in PROTOCOLS for seed in SEEDS for plan in PLANS
+#: Durable-cluster configurations, by row name.
+DURABLE_MODES = {
+    "materialized": {},
+    "paged": {"paged": True},
+    "paged-tiered-budget": {
+        "paged": True, "compaction": "tiered", "overlay_budget_bytes": 256,
+    },
 }
-ROWS["gateway/xov-pbft/seed11"] = gateway_fingerprint
+WRITE_SINKS = ("spill_bytes_written", "compaction_bytes_written",
+               "wal_bytes_written")
+
+
+@cache
+def durable_digests(mode: str, seed: int) -> dict[str, str]:
+    """One small durable-cluster run: ``d0`` crashes mid-stream and
+    recovers (in the paged modes it serves from run files from then on,
+    collapsing onto every later spill), ``d1`` never stops.
+
+    Transactions are digested as (contract, args): a tx id carries a
+    process-global sequence number, so ids — and every hash over them —
+    depend on what ran earlier in the process. Run rows, state roots and
+    record lengths do not.
+    """
+    before = {sink: STORE_COUNTERS[sink] for sink in WRITE_SINKS}
+    cluster = DurableCluster(n=2, txs=60, seed=seed, **DURABLE_MODES[mode])
+    FaultPlan().crash(2.9, "d0").recover(3.9, "d0").apply(
+        cluster.sim, cluster.network, cluster.nodes
+    )
+    caught_up = cluster.run(timeout=30.0, min_time=5.0)
+    manifests = {
+        node_id: SnapshotStore(backend).read_manifest() or {}
+        for node_id, backend in sorted(cluster.backends.items())
+    }
+    state = (
+        caught_up,
+        cluster.durable_audit(),
+        [(tx.contract, tx.args) for block in cluster.chain
+         for tx in block.transactions],
+        [
+            (node_id, node.tail.height, state_root(node.store),
+             node.recoveries, node.last_recovery and (
+                 node.last_recovery.replayed, node.last_recovery.torn,
+                 node.last_recovery.resync))
+            for node_id, node in sorted(cluster.nodes.items())
+        ],
+        [
+            (node_id, manifest.get("snapshot_height"),
+             manifest.get("state_root"),
+             [(run["rows"], run["bytes"], run["tier"])
+              for run in manifest.get("runs", ())])
+            for node_id, manifest in manifests.items()
+        ],
+        [STORE_COUNTERS[sink] - before[sink] for sink in WRITE_SINKS],
+    )
+    checksums = [
+        (node_id, [run["checksum"] for run in manifest.get("runs", ())])
+        for node_id, manifest in manifests.items()
+    ]
+    return {"state": sha256_hex(repr(state)),
+            "checksums": sha256_hex(repr(checksums))}
+
+
+def durable_row(mode: str, seed: int, part: str) -> str:
+    return durable_digests(mode, seed)[part]
+
+
+#: Golden file -> {row name -> thunk computing that row's digest}.
+FILES = {
+    CONSENSUS_FILE: {
+        **{
+            f"{protocol}/seed{seed}/{plan}":
+                partial(consensus_row, protocol, seed, plan)
+            for protocol in PROTOCOLS for seed in SEEDS for plan in PLANS
+        },
+        "gateway/xov-pbft/seed11": gateway_fingerprint,
+    },
+    STORAGE_FILE: {
+        f"durable/{mode}/seed{seed}/{part}":
+            partial(durable_row, mode, seed, part)
+        for mode in DURABLE_MODES for seed in SEEDS
+        for part in ("state", "checksums")
+    },
+}
+ROWS = {
+    name: compute for rows in FILES.values() for name, compute in rows.items()
+}
+
+
+def load_golden() -> dict[str, str]:
+    """Every committed row, over all golden files."""
+    return {
+        name: digest
+        for path in FILES
+        for name, digest in json.loads(path.read_text()).items()
+    }
 
 
 if __name__ == "__main__":
-    table = {name: compute() for name, compute in ROWS.items()}
-    GOLDEN_FILE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(table)} rows to {GOLDEN_FILE}")
+    for path, rows in FILES.items():
+        table = {name: compute() for name, compute in rows.items()}
+        path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {len(table)} rows to {path}")

@@ -1,14 +1,16 @@
-"""Golden consensus digests: virtual behaviour pinned across commits.
+"""Golden digests: seeded behaviour pinned across commits.
 
 ``tests/golden/consensus_digests.json`` holds one digest per (protocol,
-seed, plan) ordering run plus one gateway run's ledger fingerprint. A
-change that moves messages, decide times or event order fails here by
-row name; regenerate with ``PYTHONPATH=src python tests/golden/regen.py``
-and say so in CHANGES.md.
+seed, plan) ordering run plus one gateway run's ledger fingerprint;
+``tests/golden/storage_digests.json`` two per durable-cluster (mode,
+seed): committed state and byte totals, and run-file checksums. A
+change that moves messages, decide times, event order, a state root, a
+run's size or an on-disk byte fails here by row name; regenerate with
+``PYTHONPATH=src python tests/golden/regen.py`` and say so in
+CHANGES.md.
 """
 
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,7 @@ _spec = importlib.util.spec_from_file_location("golden_regen", _REGEN)
 regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
 
-GOLDEN = json.loads(regen.GOLDEN_FILE.read_text())
+GOLDEN = regen.load_golden()
 
 
 def test_golden_file_lists_exactly_the_rows():

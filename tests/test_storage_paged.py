@@ -1,6 +1,6 @@
 """The paged read path: blocked run files, key filters, the LRU block
-cache, tombstone resolution across tiers, orphan-run GC, and v1
-(pre-blocking) run compatibility."""
+cache, tombstone resolution across tiers, orphan-run GC, and the
+rejection of every run format but the current one."""
 
 import json
 
@@ -23,7 +23,12 @@ from repro.storage import (
     build_canonical_chain,
     state_root,
 )
-from repro.storage.codec import KeyFilter, checksum, entry_to_row
+from repro.storage.codec import (
+    KeyFilter,
+    checksum,
+    decode_block_rows,
+    entry_to_row,
+)
 from repro.storage.paged import BlockCache, PagedRun, PagedStateStore
 from repro.storage.snapshots import (
     MANIFEST_NAME,
@@ -125,19 +130,92 @@ def test_corrupt_footer_fails_at_open():
         PagedRun(backend, entry)
 
 
-def test_v1_blob_runs_still_readable_and_pageable():
+def reseal_block(backend, entry, index, payload):
+    """Overwrite one block of a run with ``payload`` (same length) and
+    re-seal index, footer and manifest entry around it — what a writer
+    that framed blocks wrongly would have produced."""
+    name = entry["name"]
+    blocks = PagedRun(backend, entry).blocks
+    spec = blocks[index]
+    assert len(payload) == spec["len"]
+    raw = bytearray(backend.read(name))
+    raw[spec["off"]:spec["off"] + spec["len"]] = payload
+    data_end = blocks[-1]["off"] + blocks[-1]["len"]
+    footer = json.loads(raw[data_end:-12])  # 12 = the fixed trailer
+    footer["blocks"][index]["sum"] = checksum(payload)
+    footer_bytes = json.dumps(
+        footer, sort_keys=True, separators=(",", ":")
+    ).encode()
+    assert len(footer_bytes) == len(raw) - 12 - data_end
+    raw[data_end:-12] = footer_bytes
+    backend.replace(name, bytes(raw))
+    return dict(entry, checksum=checksum(footer_bytes))
+
+
+def test_unframed_block_with_a_valid_checksum_is_an_error_not_a_miss():
     backend = MemoryBackend()
-    rows = [entry_to_row(f"k{i}", i * 10, Version(1, i)) for i in range(8)]
-    payload = json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
-    backend.replace(run_name(1), payload)
-    entry = {  # a pre-blocking manifest entry: no "format" field
-        "name": run_name(1), "checksum": checksum(payload), "rows": len(rows),
-    }
-    assert SnapshotStore(backend).read_run(entry) == rows
+    entry = write_run(backend, 1, [(f"k{i:03d}", i) for i in range(100)])
+    spec = PagedRun(backend, entry).blocks[1]
+    rows = decode_block_rows(
+        backend.read_range(entry["name"], spec["off"], spec["len"]), "test"
+    )
+    # The same rows as the JSON list format v2 wrote: same length,
+    # valid JSON, checksum re-sealed — and no frame to search.
+    unframed = json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
+    entry = reseal_block(backend, entry, 1, unframed)
     store = PagedStateStore(backend, [entry])
-    assert store.get("k3") == 30
-    assert store.get_versioned("k3").version == Version(1, 3)
-    assert store.get("absent") is None
+    assert store.get("k000") == 0  # another block: still served
+    with pytest.raises(StorageError, match="unframed"):
+        store.get(rows[0][0])
+    with pytest.raises(StorageError, match="unframed"):
+        list(store.scan())
+    with pytest.raises(StorageError, match="unframed"):
+        SnapshotStore(backend).read_run(entry)
+    # Not UTF-8 is the same class of error.
+    entry = reseal_block(backend, entry, 1, b"\xff" * spec["len"])
+    with pytest.raises(StorageError, match="undecodable"):
+        PagedStateStore(backend, [entry]).get(rows[0][0])
+
+
+@pytest.mark.parametrize("old_format", [1, 2, None])
+def test_older_run_formats_are_rejected_by_name(old_format):
+    """One run format: an entry naming any other — or none, as the
+    pre-blocking v1 entries did — is refused on the paged and on the
+    materialized path."""
+    backend = MemoryBackend()
+    entry = write_run(backend, 1, [("a", 1), ("b", 2)])
+    entry["format"] = old_format
+    if old_format is None:
+        del entry["format"]
+    with pytest.raises(StorageError, match="unknown run format"):
+        PagedStateStore(backend, [entry])
+    snapshots = SnapshotStore(backend)
+    with pytest.raises(StorageError, match="unknown run format"):
+        snapshots.read_run(entry)
+    with pytest.raises(StorageError, match="unknown run format"):
+        snapshots.load_state(manifest_for(entry))
+
+
+@pytest.mark.parametrize("paged", [True, False])
+def test_node_holding_an_older_format_directory_resyncs_to_the_oracle(paged):
+    from repro.storage import DurableCluster
+
+    cluster = DurableCluster(n=2, txs=40, seed=3, paged=paged)
+    node, backend = cluster.nodes["d0"], cluster.backends["d0"]
+
+    def downgrade():
+        snapshots = SnapshotStore(backend)
+        manifest = snapshots.read_manifest()
+        runs = [dict(entry, format=2) for entry in manifest["runs"]]
+        snapshots.write_manifest(dict(manifest, runs=runs))
+
+    cluster.sim.schedule_at(2.9, node.crash)
+    cluster.sim.schedule_at(3.0, downgrade)
+    cluster.sim.schedule_at(3.9, node.recover)
+    assert cluster.run(timeout=30.0, min_time=5.0)
+    assert node.last_recovery.resync
+    assert node.last_recovery.snapshot_height == 0
+    assert cluster.durable_audit() == []  # tip and root equal the oracle's
 
 
 # -- paged lookups -------------------------------------------------------------
@@ -284,10 +362,14 @@ def test_block_cache_keeps_an_oversized_block():
     entry = write_run(backend, 1, [("a", "v" * 500)], block_bytes=64)
     run = PagedRun(backend, entry)
     cache = BlockCache(budget_bytes=8)  # smaller than any block
-    rows = cache.get(run, 0)
-    assert rows[0][0] == "a"
+    reset_store_counters()
+    pair = KeyFilter.hash_pair("a")
+    assert run.lookup("a", pair, cache)[1] == "v" * 500
     assert len(cache) == 1  # kept despite the budget — no thrash
-    assert cache.get(run, 0) is rows
+    assert run.lookup("a", pair, cache)[1] == "v" * 500
+    assert STORE_COUNTERS["block_cache_misses"] == 1
+    assert STORE_COUNTERS["block_cache_hits"] == 1
+    assert STORE_COUNTERS["block_cache_evictions"] == 0
 
 
 def test_drop_run_purges_cache_entries():
@@ -297,9 +379,38 @@ def test_drop_run_purges_cache_entries():
     cache = BlockCache()
     cache.get(run, 0)
     assert len(cache) == 1
-    cache.drop_run(run.name)
+    cache.drop_runs([run.name])
     assert len(cache) == 0
     assert cache.resident_bytes == 0
+
+
+def test_rebase_keeps_surviving_runs_open_and_cached():
+    """A rebase that keeps run A and drops run B serves A's next get as
+    a cache hit without re-opening A, and cannot serve B."""
+    backend = MemoryBackend()
+    run_a = write_run(backend, 1, [(f"a{i:03d}", i) for i in range(40)])
+    run_b = write_run(backend, 2, [(f"b{i:03d}", i) for i in range(40)])
+    store = PagedStateStore(backend, [run_a, run_b])
+    assert store.get("a007") == 7 and store.get("b007") == 7
+    opened_a = store._runs[0]
+    run_c = write_run(backend, 3, [("c000", 0)])
+    backend.delete(run_b["name"])
+    reset_store_counters()
+    store.rebase([run_a, run_c])
+    assert store._runs[0] is opened_a  # not re-opened: no footer read
+    assert store.run_names() == [run_a["name"], run_c["name"]]
+    assert all(name != run_b["name"] for name, _index in store.cache._entries)
+    assert store.get("a007") == 7
+    assert STORE_COUNTERS["block_cache_hits"] == 1
+    assert STORE_COUNTERS["block_cache_misses"] == 0
+    assert store.get("b007") is None
+    assert store.get("c000") == 0
+    # The same name under another checksum is another run: re-opened,
+    # and nothing cached under the name survives.
+    recycled = write_run(backend, 1, [("a007", "rewritten")])
+    store.rebase([recycled, run_c])
+    assert store._runs[0] is not opened_a
+    assert store.get("a007") == "rewritten"
 
 
 # -- streaming compaction ------------------------------------------------------
@@ -514,20 +625,6 @@ def test_scan_decodes_only_intersecting_blocks():
     reset_store_counters()
     assert len(list(store.scan())) == 300
     assert STORE_COUNTERS["range_block_decodes"] == total_blocks
-
-
-def test_v1_blob_runs_scan_too():
-    backend = MemoryBackend()
-    rows = [entry_to_row(f"k{i}", i * 10, Version(1, i)) for i in range(8)]
-    payload = json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
-    backend.replace(run_name(1), payload)
-    entry = {
-        "name": run_name(1), "checksum": checksum(payload), "rows": len(rows),
-    }
-    store = PagedStateStore(backend, [entry])
-    assert [(k, e.value) for k, e in store.scan("k2", "k4")] == [
-        ("k2", 20), ("k3", 30), ("k4", 40),
-    ]
 
 
 def test_paged_store_collapse_drops_overlays_and_keeps_reads():
