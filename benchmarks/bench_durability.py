@@ -37,8 +37,6 @@ from pathlib import Path
 from repro.bench import print_table
 from repro.consensus.monitors import MONITOR_REGISTRY
 from repro.execution.contracts import standard_registry
-from repro.execution.serial import execute_block_serially
-from repro.ledger.store import StateStore, Version
 from repro.simtest.plan import FaultSpec, PlanSpec
 from repro.storage import (
     STORAGE_COUNTERS,
@@ -46,7 +44,6 @@ from repro.storage import (
     DurableLedger,
     MemoryBackend,
     OsBackend,
-    SpillBuffer,
     build_canonical_chain,
     state_root,
 )
@@ -67,23 +64,12 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_durability.json"
 
 
 def commit_chain(ledger, chain):
-    """The DurableNode commit path, inlined: execute serially, commit the
-    record, spill on the interval. Returns the per-height state roots."""
-    store, spill = StateStore(), SpillBuffer()
+    """Commit ``chain`` through the durable commit path
+    (``DurableLedger.apply_block``). Returns the per-height state roots."""
     registry = standard_registry()
-    roots = {0: state_root(store)}
-    for block in chain:
-        if block.height == 0:
-            continue
-        report = execute_block_serially(block, store, registry)
-        for index, rwset in enumerate(report.rwsets):
-            if rwset.ok:
-                spill.apply_writes(rwset.writes, Version(block.height, index))
-        root = state_root(store)
-        roots[block.height] = root
-        ledger.commit_block(block, root)
-        if ledger.maybe_snapshot(block, root, spill):
-            spill = SpillBuffer()
+    roots = {0: state_root(ledger.store)}
+    for height in range(1, chain.height + 1):
+        roots[height] = ledger.apply_block(chain.block(height), registry)
     return roots
 
 

@@ -41,22 +41,14 @@ from pathlib import Path
 
 from repro.bench import print_table
 from repro.execution.contracts import standard_registry
-from repro.execution.serial import execute_block_serially
-from repro.ledger.store import (
-    STORE_COUNTERS,
-    StateStore,
-    Version,
-    reset_store_counters,
-)
+from repro.ledger.store import STORE_COUNTERS, Version, reset_store_counters
 from repro.storage import (
     BlockCache,
     DurableLedger,
     MemoryBackend,
     PagedStateStore,
     SnapshotStore,
-    SpillBuffer,
     build_canonical_chain,
-    state_root,
 )
 from repro.storage.codec import entry_to_row
 from repro.storage.snapshots import RunWriter, run_name
@@ -270,23 +262,13 @@ def run_recovery_cell(bulk_keys: int, txs: int, seed: int = 37) -> dict:
     backend = MemoryBackend()
     ledger = DurableLedger(backend, policy="per-block", snapshot_interval=4)
     chain = build_canonical_chain(txs=txs, seed=seed)
-    store, spill = StateStore(), SpillBuffer()
     for i in range(bulk_keys):
         key, value = f"bulk{i:07d}", f"b{i}"
-        store.put(key, value, Version(0, i))
-        spill.put(key, value, Version(0, i))
+        ledger.store.put(key, value, Version(0, i))
+        ledger.spill.put(key, value, Version(0, i))
     registry = standard_registry()
-    for block in chain:
-        if block.height == 0:
-            continue
-        report = execute_block_serially(block, store, registry)
-        for index, rwset in enumerate(report.rwsets):
-            if rwset.ok:
-                spill.apply_writes(rwset.writes, Version(block.height, index))
-        root = state_root(store)
-        ledger.commit_block(block, root)
-        if ledger.maybe_snapshot(block, root, spill):
-            spill = SpillBuffer()
+    for height in range(1, chain.height + 1):
+        ledger.apply_block(chain.block(height), registry)
     ledger.flush()
     backend.simulate_crash()
 

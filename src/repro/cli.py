@@ -404,7 +404,7 @@ def _disk_drill(args) -> dict:
 
     One seeded schedule drives ``--n`` independent durable nodes, each
     against its own subdirectory: every node commits the canonical
-    chain through a :class:`DurableLedger` on an :class:`OsBackend`
+    chain through :meth:`DurableLedger.apply_block` on an :class:`OsBackend`
     (spilling snapshots on the configured interval, plus any overlay
     byte budget), crashes at seeded block heights (dropping the open
     handles, exactly the process-death model), recovers with a *fresh*
@@ -417,13 +417,10 @@ def _disk_drill(args) -> dict:
     import random as random_module
 
     from repro.execution.contracts import standard_registry
-    from repro.execution.serial import execute_block_serially
-    from repro.ledger.store import STORE_COUNTERS, StateStore, Version
+    from repro.ledger.store import STORE_COUNTERS
     from repro.storage import (
         DurableLedger,
         OsBackend,
-        PagedStateStore,
-        SpillBuffer,
         build_canonical_chain,
         release_data_dir,
         resolve_data_dir,
@@ -435,14 +432,15 @@ def _disk_drill(args) -> dict:
             backend,
             policy=args.policy,
             snapshot_interval=args.snapshot_interval,
-            paged=getattr(args, "paged", False),
-            cache_bytes=getattr(args, "cache_bytes", 4 * 1024 * 1024),
-            compaction="tiered" if getattr(args, "tiered", False) else "full",
-            overlay_budget_bytes=getattr(args, "overlay_budget", 0),
+            paged=args.paged,
+            cache_bytes=args.cache_bytes,
+            compaction=compaction,
+            overlay_budget_bytes=args.overlay_budget,
         )
 
     base_dir = resolve_data_dir(args.data_dir)
     chain = build_canonical_chain(args.txs, args.seed)
+    compaction = "tiered" if args.tiered else "full"
     # One seeded schedule: every node's crash heights come from this
     # RNG, so the whole drill is a pure function of (seed, txs, n).
     rng = random_module.Random(args.seed + 0xD121)
@@ -460,8 +458,6 @@ def _disk_drill(args) -> dict:
                 rng.sample(range(1, chain.height), crashes_per_node)
             ) if crashes_per_node else []
             ledger = make_ledger(backend)
-            store: StateStore = StateStore()
-            spill = SpillBuffer()
             registry = standard_registry()
             budget_spills_before = STORE_COUNTERS["budget_spills"]
             pending = list(crash_heights)
@@ -469,31 +465,16 @@ def _disk_drill(args) -> dict:
                 "recoveries": 0, "replayed": 0, "orphans_removed": 0,
                 "torn": False, "resync": False,
             }
-            height, root = 0, ""
-            while height < chain.height:
-                block = chain.block(height + 1)
-                outcome = execute_block_serially(block, store, registry)
-                for index, rwset in enumerate(outcome.rwsets):
-                    if rwset.ok:
-                        spill.apply_writes(
-                            rwset.writes, Version(block.height, index)
-                        )
-                root = state_root(store)
-                ledger.commit_block(block, root)
-                if ledger.maybe_snapshot(block, root, spill):
-                    spill = SpillBuffer()
-                    if isinstance(store, PagedStateStore):
-                        manifest = ledger.snapshots.read_manifest() or {}
-                        store.collapse(manifest.get("runs", ()))
-                height = block.height
-                if pending and height == pending[0]:
+            root = ""
+            while ledger.tail.height < chain.height:
+                block = chain.block(ledger.tail.height + 1)
+                root = ledger.apply_block(block, registry)
+                if pending and block.height == pending[0]:
                     pending.pop(0)
-                    backend.simulate_crash()
+                    ledger.backend.simulate_crash()
                     ledger = make_ledger(OsBackend(node_dir))
                     result = ledger.recover(standard_registry)
-                    store, spill = result.store, result.spill
                     registry = standard_registry()
-                    height = result.tail.height
                     telemetry["recoveries"] += 1
                     telemetry["replayed"] += result.replayed
                     telemetry["orphans_removed"] += result.orphans_removed
@@ -504,7 +485,7 @@ def _disk_drill(args) -> dict:
             ledger.flush()
             # Final restart: the post-drill state must be recoverable
             # too, and the recovered store is what gets audited.
-            backend.simulate_crash()
+            ledger.backend.simulate_crash()
             final = make_ledger(OsBackend(node_dir)).recover(
                 standard_registry
             )
@@ -527,11 +508,9 @@ def _disk_drill(args) -> dict:
         return {
             "data_dir": str(base_dir),
             "blocks": chain.height,
-            "paged": getattr(args, "paged", False),
-            "compaction": (
-                "tiered" if getattr(args, "tiered", False) else "full"
-            ),
-            "overlay_budget_bytes": getattr(args, "overlay_budget", 0),
+            "paged": args.paged,
+            "compaction": compaction,
+            "overlay_budget_bytes": args.overlay_budget,
             "nodes": nodes,
             "all_match": all(
                 node["tip_matches"] and node["state_root_matches"]

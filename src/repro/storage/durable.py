@@ -1,12 +1,12 @@
 """Durable nodes: WAL + snapshot tier + crash-restart recovery.
 
 This wires :mod:`repro.storage` into the chaos engine. A
-:class:`DurableNode` commits announced blocks through a
-:class:`DurableLedger` (append-only checksummed WAL, periodic state
-spills into the LSM snapshot tier), and treats a crash the way the
-paper's crash-failure model does — the process loses *everything* in
-memory and its disk reverts to what was durable. Recovery is the real
-algorithm:
+:class:`DurableLedger` owns the live durable state and the one commit
+path onto it (:meth:`~DurableLedger.apply_block`), which live commits
+and WAL replay share. A :class:`DurableNode` commits through its
+ledger and treats a crash the way the paper's crash-failure model does
+— the process loses *everything* in memory and its disk reverts to
+what was durable. Recovery is the real algorithm:
 
 1. read the manifest; load + checksum-verify the snapshot runs; verify
    the rebuilt store's state root against the root the manifest
@@ -203,13 +203,12 @@ class RecoveryResult:
 
 
 class DurableLedger:
-    """WAL + snapshot tier behind one storage backend.
-
-    The commit path appends ``encode_block(block, state_root)`` records
-    (fsync per the policy); :meth:`maybe_snapshot` runs the spill cycle
-    in crash-safe order — run file durable → WAL rolled → manifest
-    swapped atomically → superseded segments deleted — so a crash at
-    any point leaves a recoverable prefix.
+    """WAL + snapshot tier behind one storage backend, plus the live
+    ``tail``/``store``/``spill`` (genesis until :meth:`recover` installs
+    what it rebuilt). :meth:`apply_block` is the one commit path onto
+    them, and WAL replay shares its execute step. Records are
+    ``encode_block(block, state_root)``; the spill cycle runs in
+    crash-safe order, so a crash at any point leaves a recoverable prefix.
     """
 
     def __init__(
@@ -253,6 +252,12 @@ class DurableLedger:
         self.paged = paged
         self.cache_bytes = cache_bytes
         self.log = BlockLog(backend, self.policy, self._live_segment_id())
+        self._start_at_genesis()
+
+    def _start_at_genesis(self) -> None:
+        self.tail: ChainTail = ChainTail(genesis_block())
+        self.store: StateStore = StateStore()
+        self.spill: SpillBuffer = SpillBuffer()
 
     # -- segment bookkeeping -------------------------------------------------
 
@@ -276,15 +281,49 @@ class DurableLedger:
 
     # -- commit path ---------------------------------------------------------
 
+    def apply_block(self, block: Block, registry: ContractRegistry) -> str:
+        """Execute → spill mirror → root → WAL record → snapshot →
+        collapse; returns the root. The tail append runs first, so a
+        block that does not chain raises before anything is mutated."""
+        self.tail.append(block)
+        root = self._execute(block, registry)
+        self.commit_block(block, root)
+        manifest = self.maybe_snapshot(block, root, self.spill)
+        if manifest is not None:
+            self.spill = SpillBuffer()
+            if isinstance(self.store, PagedStateStore):
+                # The spill's delta run now covers every overlay entry
+                # (the spill buffer mirrored the same committed writes,
+                # versions included), and the spill may also have
+                # compacted the disk run set, deleting files the paged
+                # store still references. Collapse: drop the overlays
+                # and serve from the new manifest's runs — this is what
+                # keeps a long-running paged node's resident memory
+                # bounded instead of growing until restart.
+                self.store.collapse(manifest["runs"])
+        return root
+
+    def _execute(self, block: Block, registry: ContractRegistry) -> str:
+        """Execute serially, mirror the committed writes into the spill
+        buffer, return the root — shared by commit and WAL replay."""
+        report = execute_block_serially(block, self.store, registry)
+        for index, rwset in enumerate(report.rwsets):
+            if rwset.ok:
+                self.spill.apply_writes(
+                    rwset.writes, Version(block.height, index)
+                )
+        return state_root(self.store)
+
     def commit_block(self, block: Block, root: str) -> None:
         """Append one block record (durable per the fsync policy)."""
         self.log.append(encode_block(block, root))
 
     def maybe_snapshot(
         self, anchor: Block, root: str, buffer: SpillBuffer
-    ) -> bool:
+    ) -> dict[str, Any] | None:
         """Spill when the WAL tail has grown ``snapshot_interval`` blocks
-        — or earlier, when the overlay byte budget fills up."""
+        — or earlier, when the overlay byte budget fills up; returns the
+        new manifest (None when it did not spill)."""
         manifest = self.snapshots.read_manifest()
         snapshot_height = int(manifest.get("snapshot_height", 0)) if manifest else 0
         due = anchor.height - snapshot_height >= self.snapshot_interval
@@ -292,41 +331,33 @@ class DurableLedger:
             0 < self.overlay_budget_bytes <= buffer.resident_bytes
         )
         if not due and not over_budget:
-            return False
+            return None
         if over_budget and not due:
             STORE_COUNTERS["budget_spills"] += 1
-        self.snapshot(anchor, root, buffer)
-        return True
+        return self.snapshot(anchor, root, buffer)
 
-    def snapshot(self, anchor: Block, root: str, buffer: SpillBuffer) -> None:
-        """One spill cycle, in crash-safe order.
+    def snapshot(self, anchor: Block, root: str, buffer: SpillBuffer) -> dict:
+        """One spill cycle, in crash-safe order; returns the new manifest.
 
-        1. write the delta run (durable before anything references it);
-        2. roll the WAL to a fresh segment (old segment flushed);
-        3. swap the manifest atomically — this is the commit point;
-        4. delete the WAL segments the new manifest no longer needs.
+        1. roll the WAL to a fresh segment (old segment flushed);
+        2. :meth:`SnapshotStore.spill`: the delta run, durable before the
+           atomic manifest swap names it — this is the commit point;
+        3. delete the WAL segments the new manifest no longer needs.
 
-        A crash before (3) recovers from the *old* manifest + full WAL;
-        between (3) and (4), replay skips records at or below the new
-        snapshot height, so the stale segments are harmless.
+        A crash before (2)'s swap recovers from the *old* manifest + full
+        WAL; between the swap and (3), replay skips records at or below
+        the new snapshot height, so the stale segments are harmless.
         """
-        manifest = self.snapshots.read_manifest() or {}
-        rows = self.snapshots.rows_from_buffer(buffer)
-        run_id = int(manifest.get("next_run_id", 1))
-        entry = self.snapshots.write_run(run_id, rows)
         self.log.roll()
-        new_manifest = {
-            "runs": list(manifest.get("runs", ())) + [entry],
-            "next_run_id": run_id + 1,
-            "snapshot_height": anchor.height,
-            "anchor": block_to_dict(anchor),
-            "state_root": root,
-            "wal_segment": self.log.segment_id,
-        }
-        self.snapshots.apply_policy(new_manifest)
+        manifest = self.snapshots.spill(
+            buffer, self.snapshots.read_manifest() or {},
+            snapshot_height=anchor.height, anchor=block_to_dict(anchor),
+            state_root=root, wal_segment=self.log.segment_id,
+        )
         for segment_id in self._segment_ids():
             if segment_id < self.log.segment_id:
                 self.backend.delete(segment_name(segment_id))
+        return manifest
 
     def flush(self) -> None:
         """Force the live segment durable (clean shutdown)."""
@@ -335,8 +366,10 @@ class DurableLedger:
     # -- crash + recovery ----------------------------------------------------
 
     def power_fail(self) -> None:
-        """The process died: the backend reverts to durable content."""
+        """The process died: the backend reverts to durable content, and
+        the live state is gone until :meth:`recover`."""
         self.backend.simulate_crash()
+        self.tail = self.store = self.spill = None  # type: ignore[assignment]
 
     def tail_record_count(self) -> int:
         """Intact WAL records past the snapshot height — the replay work
@@ -379,9 +412,7 @@ class DurableLedger:
         orphans = self.snapshots.orphan_runs(manifest)
         for name in orphans:
             self.backend.delete(name)
-        tail = ChainTail(genesis_block())
-        store = StateStore()
-        spill = SpillBuffer()
+        self._start_at_genesis()
         snapshot_height = 0
         resync = False
         if manifest is not None:
@@ -416,8 +447,7 @@ class DurableLedger:
                     if "anchor" in manifest
                     else genesis_block()
                 )
-                tail = ChainTail(anchor)
-                store = loaded
+                self.tail, self.store = ChainTail(anchor), loaded
                 snapshot_height = int(manifest.get("snapshot_height", 0))
             except (StorageError, LedgerError, KeyError):
                 resync = True
@@ -436,20 +466,14 @@ class DurableLedger:
                     except StorageError:
                         stop = torn = True
                         break
-                    if block.height <= tail.height:
+                    if block.height <= self.tail.height:
                         continue  # pre-snapshot record (stale segment)
                     try:
-                        tail.append(block)
+                        self.tail.append(block)
                     except LedgerError:
                         stop = torn = True
                         break
-                    report = execute_block_serially(block, store, registry)
-                    for index, rwset in enumerate(report.rwsets):
-                        if rwset.ok:
-                            spill.apply_writes(
-                                rwset.writes, Version(block.height, index)
-                            )
-                    if state_root(store) != recorded_root:
+                    if self._execute(block, registry) != recorded_root:
                         # Intact record but irreproducible state: the
                         # snapshot tier under it cannot be trusted either.
                         # O(block write set) in both modes — a paged
@@ -471,16 +495,14 @@ class DurableLedger:
             # rebuild from genesis via peer catch-up.
             for name in list(self.backend.list()):
                 self.backend.delete(name)
-            tail = ChainTail(genesis_block())
-            store = StateStore()
-            spill = SpillBuffer()
+            self._start_at_genesis()
             snapshot_height = 0
             replayed = 0
         self.log = BlockLog(self.backend, self.policy, self._live_segment_id())
         return RecoveryResult(
-            tail=tail,
-            store=store,
-            spill=spill,
+            tail=self.tail,
+            store=self.store,
+            spill=self.spill,
             replayed=replayed,
             torn=torn,
             resync=resync,
@@ -587,13 +609,12 @@ class OrdererNode(Node):
 class DurableNode(Node):
     """A replica whose only post-crash state is its storage backend.
 
-    Commits follow the orderer's announcements via pull-based catch-up;
-    each committed block is executed serially, mirrored into the spill
-    buffer, logged to the WAL with its post-commit state root, and
-    periodically spilled to the snapshot tier. ``crash()`` drops every
-    in-memory structure *and* power-fails the backend; recovery rebuilds
-    from the manifest + WAL tail (see :meth:`DurableLedger.recover`),
-    modelling the replay cost as virtual time before the node re-joins.
+    Commits follow the orderer's announcements via pull-based catch-up,
+    each through :meth:`DurableLedger.apply_block`. ``crash()`` drops
+    every in-memory structure *and* power-fails the backend; recovery
+    rebuilds from the manifest + WAL tail (see
+    :meth:`DurableLedger.recover`), modelling the replay cost as
+    virtual time before the node re-joins.
     """
 
     def __init__(
@@ -629,12 +650,13 @@ class DurableNode(Node):
         self.base_recovery_delay = base_recovery_delay
         self.per_record_delay = per_record_delay
         self.cluster = cluster
-        self.tail: ChainTail = ChainTail(genesis_block())
-        self.store: StateStore = StateStore()
-        self._spill = SpillBuffer()
         self.highest_announced = 0
         self.recoveries = 0
         self.last_recovery: RecoveryResult | None = None
+
+    #: Read-only views of the ledger's live state.
+    tail = property(lambda self: self.ledger.tail)
+    store = property(lambda self: self.ledger.store)
 
     def start(self) -> None:
         self._arm_probe()
@@ -642,28 +664,7 @@ class DurableNode(Node):
     # -- commit path ---------------------------------------------------------
 
     def _commit_block(self, block: Block) -> None:
-        self.tail.append(block)
-        report = execute_block_serially(block, self.store, self.registry)
-        for index, rwset in enumerate(report.rwsets):
-            if rwset.ok:
-                self._spill.apply_writes(
-                    rwset.writes, Version(block.height, index)
-                )
-        root = state_root(self.store)
-        self.ledger.commit_block(block, root)
-        if self.ledger.maybe_snapshot(block, root, self._spill):
-            self._spill = SpillBuffer()
-            if isinstance(self.store, PagedStateStore):
-                # The spill's delta run now covers every overlay entry
-                # (the spill buffer mirrored the same committed writes,
-                # versions included), and the spill may also have
-                # compacted the disk run set, deleting files the paged
-                # store still references. Collapse: drop the overlays
-                # and serve from the new manifest's runs — this is what
-                # keeps a long-running paged node's resident memory
-                # bounded instead of growing until restart.
-                manifest = self.ledger.snapshots.read_manifest() or {}
-                self.store.collapse(manifest.get("runs", ()))
+        self.ledger.apply_block(block, self.registry)
         if self.cluster is not None:
             self.cluster.record_commit(
                 self.node_id, block.height, block.block_hash
@@ -701,11 +702,8 @@ class DurableNode(Node):
         if self.crashed:
             return
         super().crash()
-        self.ledger.power_fail()
         # The crash failure model: nothing in memory survives.
-        self.tail = None  # type: ignore[assignment]
-        self.store = None  # type: ignore[assignment]
-        self._spill = None  # type: ignore[assignment]
+        self.ledger.power_fail()
         self.highest_announced = 0
 
     def recovery_delay(self) -> float:
@@ -717,9 +715,6 @@ class DurableNode(Node):
 
     def on_recover(self) -> None:
         result = self.ledger.recover(self.registry_factory)
-        self.tail = result.tail
-        self.store = result.store
-        self._spill = result.spill
         self.registry = self.registry_factory()
         self.recoveries += 1
         self.last_recovery = result

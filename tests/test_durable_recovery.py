@@ -3,13 +3,15 @@ two-tier corruption model (truncate-and-repair vs full resync), the
 deferred timer re-arm semantics, data_dir validation, and chaos runs
 where recovered nodes must end byte-identical to the serial oracle."""
 
+import json
+
 import pytest
 
-from repro.common.errors import ConfigError
+from repro import cli
+from repro.common.errors import ConfigError, LedgerError, StorageError
 from repro.consensus.monitors import MONITOR_REGISTRY
 from repro.execution.contracts import standard_registry
-from repro.execution.serial import execute_block_serially
-from repro.ledger.store import StateStore, Version
+from repro.ledger.store import StateStore
 from repro.sim.core import Simulation
 from repro.sim.network import Network
 from repro.sim.node import Node
@@ -22,7 +24,6 @@ from repro.storage import (
     FaultProfile,
     MemoryBackend,
     OsBackend,
-    SpillBuffer,
     build_canonical_chain,
     release_data_dir,
     resolve_data_dir,
@@ -31,26 +32,13 @@ from repro.storage import (
 
 
 def commit_chain(ledger, chain, upto=None):
-    """Drive the commit path the way a DurableNode does; returns the
-    serial store and the per-height state roots."""
-    store, spill = StateStore(), SpillBuffer()
+    """Commit ``chain`` (through height ``upto``) via the ledger's one
+    commit path; returns the per-height state roots."""
     registry = standard_registry()
-    roots = {0: state_root(store)}
-    for block in chain:
-        if block.height == 0:
-            continue
-        if upto is not None and block.height > upto:
-            break
-        report = execute_block_serially(block, store, registry)
-        for index, rwset in enumerate(report.rwsets):
-            if rwset.ok:
-                spill.apply_writes(rwset.writes, Version(block.height, index))
-        root = state_root(store)
-        roots[block.height] = root
-        ledger.commit_block(block, root)
-        if ledger.maybe_snapshot(block, root, spill):
-            spill = SpillBuffer()
-    return store, spill, roots
+    roots = {0: state_root(ledger.store)}
+    for height in range(1, (chain.height if upto is None else upto) + 1):
+        roots[height] = ledger.apply_block(chain.block(height), registry)
+    return roots
 
 
 # -- ledger-level crash/recover ------------------------------------------------
@@ -64,7 +52,7 @@ def test_recover_matches_serial_prefix(policy, snapshot_interval):
     ledger = DurableLedger(
         backend, policy=policy, snapshot_interval=snapshot_interval
     )
-    _, _, roots = commit_chain(ledger, chain)
+    roots = commit_chain(ledger, chain)
     ledger.power_fail()
     result = ledger.recover(standard_registry)
     # Whatever the fsync policy lost, what survives is an exact prefix.
@@ -79,7 +67,7 @@ def test_per_block_policy_loses_nothing():
     backend = MemoryBackend()
     chain = build_canonical_chain(txs=14, seed=4)
     ledger = DurableLedger(backend, policy="per-block", snapshot_interval=3)
-    _, _, roots = commit_chain(ledger, chain)
+    roots = commit_chain(ledger, chain)
     ledger.power_fail()
     result = ledger.recover(standard_registry)
     assert result.tail.height == chain.height
@@ -115,7 +103,7 @@ def test_torn_tail_is_repaired_and_recovery_is_idempotent():
         )
         chain = build_canonical_chain(txs=14, seed=7)
         ledger = DurableLedger(backend, policy="async", snapshot_interval=4)
-        _, _, roots = commit_chain(ledger, chain)
+        roots = commit_chain(ledger, chain)
         ledger.power_fail()
         first = ledger.recover(standard_registry)
         torn_seen = torn_seen or first.torn
@@ -162,7 +150,7 @@ def test_os_backend_round_trip(tmp_path):
         ledger = DurableLedger(
             OsBackend(data_dir), policy="group:2", snapshot_interval=3
         )
-        _, _, roots = commit_chain(ledger, chain)
+        roots = commit_chain(ledger, chain)
         ledger.flush()
         ledger.backend.simulate_crash()  # drop open handles
         recovered = DurableLedger(
@@ -174,6 +162,136 @@ def test_os_backend_round_trip(tmp_path):
         assert state_root(result.store) == roots[chain.height]
     finally:
         release_data_dir(data_dir)
+
+
+# -- the one commit path: DurableLedger.apply_block ----------------------------
+
+
+def test_apply_block_rejects_a_block_that_does_not_chain():
+    chain = build_canonical_chain(txs=14, seed=9)
+    fork = build_canonical_chain(txs=14, seed=10)
+    ledger = DurableLedger(
+        MemoryBackend(), policy="per-block", snapshot_interval=3
+    )
+    commit_chain(ledger, chain, upto=2)
+
+    def observed():
+        return (
+            state_root(ledger.store), len(ledger.spill),
+            ledger.tail.height, ledger.tail_record_count(),
+        )
+
+    before = observed()
+    assert before[1] > 0, "the spill buffer must hold something to lose"
+    # A height gap, then the right height on the wrong parent.
+    for stray in (chain.block(4), fork.block(3)):
+        with pytest.raises(LedgerError):
+            ledger.apply_block(stray, standard_registry())
+        assert observed() == before
+
+
+def test_power_fail_drops_the_live_state_until_recover():
+    chain = build_canonical_chain(txs=14, seed=9)
+    reference = commit_chain(
+        DurableLedger(MemoryBackend(), snapshot_interval=3), chain
+    )
+    ledger = DurableLedger(
+        MemoryBackend(), policy="per-block", snapshot_interval=3
+    )
+    commit_chain(ledger, chain, upto=4)
+    ledger.power_fail()
+    assert ledger.tail is None and ledger.store is None
+    assert ledger.spill is None
+    with pytest.raises(AttributeError):
+        ledger.apply_block(chain.block(5), standard_registry())
+    result = ledger.recover(standard_registry)
+    assert ledger.tail is result.tail and ledger.store is result.store
+    assert ledger.spill is result.spill
+    assert ledger.tail.height == 4
+    registry = standard_registry()
+    for height in range(5, chain.height + 1):
+        root = ledger.apply_block(chain.block(height), registry)
+    assert root == reference[chain.height]
+
+
+def test_crash_inside_apply_block_recovers_pre_or_post_block():
+    """Crash at every backend operation inside one ``apply_block`` that
+    spills and then band-merges: a fresh ledger recovers the pre-block
+    or the post-block tip with its root, never resyncs, and garbage-
+    collects every run the crash left unreferenced."""
+    chain = build_canonical_chain(txs=16, seed=3)
+    config = dict(
+        policy="per-block", snapshot_interval=2, compaction="tiered:2"
+    )
+    target = 4  # spills the second tier-0 run: a band merge follows
+    reference = DurableLedger(MemoryBackend(), **config)
+    roots = commit_chain(reference, chain, upto=target)
+    manifest = reference.snapshots.read_manifest()
+    assert [run["tier"] for run in manifest["runs"]] == [1]
+    assert manifest["snapshot_height"] == target
+    recovered_heights, orphans_collected = set(), 0
+    for fail_after in range(200):
+        backend = MemoryBackend()
+        ledger = DurableLedger(backend, **config)
+        commit_chain(ledger, chain, upto=target - 1)
+        backend.fail_after_ops(fail_after)
+        try:
+            ledger.apply_block(chain.block(target), standard_registry())
+        except StorageError:
+            crashed = True
+        else:
+            crashed = False
+        backend.fail_after_ops(None)
+        if not crashed:
+            break
+        fresh = DurableLedger(backend, **config)
+        result = fresh.recover(standard_registry)
+        where = f"fail_after={fail_after}"
+        assert not result.resync, where
+        assert result.tail.height in (target - 1, target), where
+        assert result.tail.tip_hash() == (
+            chain.block(result.tail.height).block_hash
+        ), where
+        assert state_root(result.store) == roots[result.tail.height], where
+        assert fresh.snapshots.orphan_runs(
+            fresh.snapshots.read_manifest()
+        ) == [], where
+        recovered_heights.add(result.tail.height)
+        orphans_collected += result.orphans_removed
+    else:
+        raise AssertionError("apply_block never completed")
+    assert recovered_heights == {target - 1, target}
+    assert orphans_collected > 0, "no crash ever left a partial run"
+
+
+def test_recover_drill_on_real_files_is_clean_and_deterministic(
+    tmp_path, capsys
+):
+    """``recover --data-dir``: two nodes on real files, each crashed and
+    restarted twice under a byte budget; the same run twice into the
+    same directory must report the same thing."""
+    argv = [
+        "recover", "--n", "2", "--txs", "40", "--data-dir", str(tmp_path),
+        "--paged", "--tiered", "--overlay-budget", "256",
+        "--snapshot-interval", "50", "--drill-crashes", "2",
+    ]
+
+    def drill():
+        assert cli.main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        del summary["disk"]["data_dir"]
+        for node in summary["disk"]["nodes"]:
+            del node["data_dir"]
+        return summary
+
+    first = drill()
+    assert first["disk"]["all_match"]
+    assert len(first["disk"]["nodes"]) == 2
+    for node in first["disk"]["nodes"]:
+        assert node["recoveries"] == 2
+        assert node["budget_spills"] > 0
+        assert node["resync"] is False
+    assert drill() == first
 
 
 # -- deferred timer re-arm (recovery is not instantaneous) ---------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.storage.durable
 from repro.common.errors import LedgerError
 from repro.execution.contracts import standard_registry
 from repro.execution.serial import execute_block_serially
@@ -210,24 +211,6 @@ def test_seeding_rejects_a_malformed_root(bad):
 # -- the commit path and recovery ------------------------------------------------
 
 
-def commit(ledger, store, spill, block, registry, root_of=state_root):
-    """``DurableNode._commit_block`` without the node; returns the spill
-    buffer to carry on with and the keys the block wrote."""
-    report = execute_block_serially(block, store, registry)
-    written = set()
-    for index, rwset in enumerate(report.rwsets):
-        if rwset.ok:
-            spill.apply_writes(rwset.writes, Version(block.height, index))
-            written.update(rwset.writes)
-    root = root_of(store)
-    ledger.commit_block(block, root)
-    if ledger.maybe_snapshot(block, root, spill):
-        spill = SpillBuffer()
-        if isinstance(store, PagedStateStore):
-            store.collapse(ledger.snapshots.read_manifest()["runs"])
-    return spill, written
-
-
 def paged_ledger(backend):
     return DurableLedger(
         backend, snapshot_interval=4, paged=True, compaction="tiered"
@@ -236,38 +219,45 @@ def paged_ledger(backend):
 
 def committed(backend, chain, upto):
     ledger = paged_ledger(backend)
-    store, spill, registry = StateStore(), SpillBuffer(), standard_registry()
+    registry = standard_registry()
     for height in range(1, upto + 1):
-        spill, _ = commit(ledger, store, spill, chain.block(height), registry)
+        ledger.apply_block(chain.block(height), registry)
     ledger.flush()
     backend.simulate_crash()
-    return store
+    return ledger.store
 
 
-def test_commits_on_a_seeded_paged_store_never_scan_the_state():
+def test_commits_on_a_seeded_paged_store_never_scan_the_state(monkeypatch):
     chain = build_canonical_chain(txs=120, seed=5, block_txs=4)
     backend = MemoryBackend()
     committed(backend, chain, upto=14)
     ledger = paged_ledger(backend)
     recovered = ledger.recover(standard_registry)
-    store, spill = recovered.store, recovered.spill
+    store = recovered.store
     assert isinstance(store, PagedStateStore) and recovered.replayed == 2
     registry = standard_registry()
     reset_store_counters()
-    writes = lookups_in_root = 0
+    writes = lookups_in_root = roots_taken = 0
 
     def counted_root(store):
-        nonlocal lookups_in_root
+        nonlocal lookups_in_root, roots_taken
         before = STORE_COUNTERS["paged_lookups"]
         root = state_root(store)
         lookups_in_root += STORE_COUNTERS["paged_lookups"] - before
+        roots_taken += 1
         return root
 
+    monkeypatch.setattr(repro.storage.durable, "state_root", counted_root)
     for height in range(15, chain.height + 1):
-        spill, written = commit(
-            ledger, store, spill, chain.block(height), registry, counted_root
-        )
-        writes += len(written)
+        block = chain.block(height)
+        ledger.apply_block(block, registry)
+        # Serial execution commits every transaction of this workload,
+        # so the declared keys are exactly the keys the block wrote.
+        writes += len({
+            op.key for tx in block.transactions for op in tx.declared_ops
+        })
+    monkeypatch.undo()
+    assert ledger.store is store and roots_taken == chain.height - 14
     assert STORE_COUNTERS["range_block_decodes"] == 0
     assert lookups_in_root <= writes
     oracle = StateStore()

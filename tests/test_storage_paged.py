@@ -8,18 +8,11 @@ import pytest
 
 from repro.common.errors import StorageError
 from repro.execution.contracts import standard_registry
-from repro.execution.serial import execute_block_serially
-from repro.ledger.store import (
-    STORE_COUNTERS,
-    StateStore,
-    Version,
-    reset_store_counters,
-)
+from repro.ledger.store import STORE_COUNTERS, Version, reset_store_counters
 from repro.storage import (
     DurableLedger,
     MemoryBackend,
     SnapshotStore,
-    SpillBuffer,
     build_canonical_chain,
     state_root,
 )
@@ -446,22 +439,9 @@ def test_streaming_compaction_matches_merged_semantics():
 
 def test_recovery_garbage_collects_orphaned_runs():
     backend = MemoryBackend()
-    ledger = DurableLedger(backend, snapshot_interval=2)
-    chain = build_canonical_chain(16, seed=7)
-    store, spill = StateStore(), SpillBuffer()
-    registry = standard_registry()
-    for block in chain:
-        if block.height == 0:
-            continue
-        report = execute_block_serially(block, store, registry)
-        for index, rwset in enumerate(report.rwsets):
-            if rwset.ok:
-                spill.apply_writes(rwset.writes, Version(block.height, index))
-        root = state_root(store)
-        ledger.commit_block(block, root)
-        if ledger.maybe_snapshot(block, root, spill):
-            spill = SpillBuffer()
-    ledger.flush()
+    chain, store, _ = commit_chain_through(
+        DurableLedger(backend, snapshot_interval=2), txs=16, seed=7
+    )
     # Plant two orphans: a fully-written leaked run (crash between
     # compaction's manifest swap and its delete loop) and a partial one
     # (crash mid-run-write). Both are durable on disk yet unreferenced.
@@ -487,22 +467,40 @@ def test_recovery_garbage_collects_orphaned_runs():
 
 def commit_chain_through(ledger, txs=40, seed=11):
     chain = build_canonical_chain(txs, seed)
-    store, spill = StateStore(), SpillBuffer()
     registry = standard_registry()
     root = ""
-    for block in chain:
-        if block.height == 0:
-            continue
-        report = execute_block_serially(block, store, registry)
-        for index, rwset in enumerate(report.rwsets):
-            if rwset.ok:
-                spill.apply_writes(rwset.writes, Version(block.height, index))
-        root = state_root(store)
-        ledger.commit_block(block, root)
-        if ledger.maybe_snapshot(block, root, spill):
-            spill = SpillBuffer()
+    for height in range(1, chain.height + 1):
+        root = ledger.apply_block(chain.block(height), registry)
     ledger.flush()
-    return chain, store, root
+    return chain, ledger.store, root
+
+
+def test_every_spill_collapses_a_paged_store():
+    """Once recovery hands the ledger a paged store, each commit that
+    spills must leave it with no overlays: the new run set covers them."""
+    backend = MemoryBackend()
+    config = dict(
+        snapshot_interval=3, paged=True, compaction="tiered",
+        overlay_budget_bytes=192,
+    )
+    chain = build_canonical_chain(txs=60, seed=5)
+    first = DurableLedger(backend, **config)
+    for height in range(1, 8):
+        first.apply_block(chain.block(height), standard_registry())
+    first.flush()
+    backend.simulate_crash()
+    ledger = DurableLedger(backend, **config)
+    ledger.recover(standard_registry)
+    assert isinstance(ledger.store, PagedStateStore)
+    registry = standard_registry()
+    spills = 0
+    for height in range(8, chain.height + 1):
+        ledger.apply_block(chain.block(height), registry)
+        if ledger.snapshots.read_manifest()["snapshot_height"] == height:
+            spills += 1
+            assert ledger.store.overlay_entries() == 0, f"height {height}"
+    assert spills >= 3
+
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
