@@ -334,17 +334,12 @@ def run_smoke() -> int:
     return 0
 
 
-def test_durability_smoke(run_once):
+def test_durability_smoke():
     """Pytest entry: the cheap core of the ``--smoke`` CI guard."""
-    def guard():
-        return (
-            check_recovery_grid(
-                run_recovery_grid(SMOKE_RECOVERY_TXS, SMOKE_INTERVALS)
-            )
-            + check_determinism(run_determinism(txs=10))
-        )
-
-    assert run_once(guard) == []
+    assert (
+        check_recovery_grid(run_recovery_grid(SMOKE_RECOVERY_TXS, SMOKE_INTERVALS))
+        + check_determinism(run_determinism(txs=10))
+    ) == []
 
 
 if __name__ == "__main__":

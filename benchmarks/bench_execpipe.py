@@ -490,7 +490,7 @@ def run_smoke() -> int:
     return 0
 
 
-def test_execpipe_smoke(run_once):
+def test_execpipe_smoke():
     """Pytest entry: the cheap core of the ``--smoke`` CI guard."""
     def guard():
         failures = []
@@ -501,7 +501,7 @@ def test_execpipe_smoke(run_once):
                 )
         return failures + check_row_identity()
 
-    assert run_once(guard) == []
+    assert guard() == []
 
 
 if __name__ == "__main__":

@@ -249,17 +249,10 @@ def run_smoke() -> int:
     return 0
 
 
-def test_gateway_smoke(run_once):
+def test_gateway_smoke():
     """Pytest entry: the cheap core of the ``--smoke`` CI guard."""
-    def guard():
-        grid = run_latency_grid(
-            systems=["ox"], loads=SMOKE_LOADS, steady=SMOKE_STEADY
-        )
-        return check_latency_grid(grid) + check_determinism(
-            run_determinism()
-        )
-
-    assert run_once(guard) == []
+    grid = run_latency_grid(systems=["ox"], loads=SMOKE_LOADS, steady=SMOKE_STEADY)
+    assert check_latency_grid(grid) + check_determinism(run_determinism()) == []
 
 
 if __name__ == "__main__":

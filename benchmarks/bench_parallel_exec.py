@@ -376,15 +376,9 @@ def run_smoke() -> int:
     return 0
 
 
-def test_parallel_smoke(run_once):
+def test_parallel_smoke():
     """Pytest entry: the cheap core of the ``--smoke`` CI guard."""
-    def guard():
-        return (
-            check_equivalence(run_equivalence(200, [2]))
-            + check_workers_env()
-        )
-
-    assert run_once(guard) == []
+    assert check_equivalence(run_equivalence(200, [2])) + check_workers_env() == []
 
 
 if __name__ == "__main__":

@@ -139,8 +139,8 @@ def run_simcore(repeats: int = REPEATS, write_json: bool = True):
     return report
 
 
-def test_simcore_microbench(run_once):
-    report = run_once(run_simcore)
+def test_simcore_microbench():
+    report = run_simcore()
     rows = [
         {"metric": k, "baseline": report["baseline"][k] or "-",
          "current": v, "speedup": report.get("speedup", {}).get(k, "-")}

@@ -442,9 +442,9 @@ def run_smoke() -> int:
     return 0
 
 
-def test_state_compaction_smoke(run_once):
+def test_state_compaction_smoke():
     """Pytest entry: the cheap core of the ``--smoke`` CI guard."""
-    assert run_once(smoke_failures) == []
+    assert smoke_failures() == []
 
 
 if __name__ == "__main__":

@@ -442,20 +442,15 @@ def run_smoke() -> int:
     return 0
 
 
-def test_state_paging_smoke(run_once):
+def test_state_paging_smoke():
     """Pytest entry: the cheap core of the ``--smoke`` CI guard."""
-    def guard():
-        return (
-            check_equivalence_grid(
-                run_equivalence_grid(SMOKE_KEYS, SMOKE_PROBES)
-            )
-            + check_cache_grid(
-                run_cache_grid(SMOKE_KEYS, SMOKE_PROBES, SMOKE_CACHES)
-            )
-            + check_recovery_grid(run_recovery_grid(SMOKE_BULK, txs=30))
+    assert (
+        check_equivalence_grid(run_equivalence_grid(SMOKE_KEYS, SMOKE_PROBES))
+        + check_cache_grid(
+            run_cache_grid(SMOKE_KEYS, SMOKE_PROBES, SMOKE_CACHES)
         )
-
-    assert run_once(guard) == []
+        + check_recovery_grid(run_recovery_grid(SMOKE_BULK, txs=30))
+    ) == []
 
 
 if __name__ == "__main__":

@@ -1,6 +1,5 @@
 """Benchmark harness utilities shared by everything under ``benchmarks/``."""
 
-from repro.bench.export import to_csv, to_markdown
 from repro.bench.harness import (
     WORKERS_ENV,
     compare_systems,
@@ -16,7 +15,7 @@ from repro.bench.profiling import (
     reset_hotpath_counters,
     top_hotspots,
 )
-from repro.bench.reporting import format_table, print_table
+from repro.bench.reporting import format_table, print_table, to_markdown
 
 __all__ = [
     "WORKERS_ENV",
@@ -31,7 +30,6 @@ __all__ = [
     "run_architecture",
     "sweep",
     "sweep_parallel",
-    "to_csv",
     "to_markdown",
     "top_hotspots",
 ]

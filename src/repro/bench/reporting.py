@@ -1,7 +1,8 @@
-"""Plain-text table rendering for benchmark output.
+"""Table rendering for benchmark output: aligned text and markdown.
 
-Every benchmark prints its series through these helpers so that
-EXPERIMENTS.md rows and ``pytest benchmarks/`` output share one format.
+The CLI and the perf scripts print rows through :func:`format_table`;
+the claims registry renders EXPERIMENTS.md's claim-vs-measured table
+through :func:`to_markdown`. Both format cells with :func:`format_cell`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ def format_table(rows: list[dict[str, Any]], title: str | None = None) -> str:
         return f"{title}\n(no rows)" if title else "(no rows)"
     columns = list(rows[0].keys())
     rendered = [
-        [_format_cell(row.get(column, "")) for column in columns]
+        [format_cell(row.get(column, "")) for column in columns]
         for row in rows
     ]
     widths = [
@@ -39,7 +40,25 @@ def print_table(rows: list[dict[str, Any]], title: str | None = None) -> None:
     print(format_table(rows, title))
 
 
-def _format_cell(value: Any) -> str:
+def to_markdown(rows: list[dict[str, Any]]) -> str:
+    """Render rows as a GitHub-flavoured markdown table."""
+    if not rows:
+        return ""
+    columns = list(rows[0].keys())
+    lines = [
+        "| " + " | ".join(columns) + " |",
+        "|" + "|".join("---" for _ in columns) + "|",
+    ]
+    for row in rows:
+        lines.append(
+            "| "
+            + " | ".join(format_cell(row.get(c, "")) for c in columns)
+            + " |"
+        )
+    return "\n".join(lines)
+
+
+def format_cell(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.4g}"
     return str(value)

@@ -1,6 +1,7 @@
 """Command-line interface: explore the reproduction without writing code.
 
     python -m repro list                 # what can run
+    python -m repro claims               # every paper claim, checked
     python -m repro quickstart           # Figure 1 in one command
     python -m repro compare --skew 0.9   # OX/OXII/XOV + Fabric family
     python -m repro consensus --n 7      # protocol comparison
@@ -56,7 +57,20 @@ def cmd_list(_args) -> None:
     print("architectures:", ", ".join(sorted(SYSTEMS)))
     print("consensus protocols:", ", ".join(sorted(PROTOCOLS)))
     print("sharded systems: sharper, ahl, saguaro, resilientdb")
-    print("experiments: see benchmarks/ (pytest benchmarks/ --benchmark-only)")
+    print("paper claims E1-E17: python -m repro claims")
+
+
+def cmd_claims(_args) -> int:
+    """Run every paper claim and print the claim-vs-measured table;
+    exit 1 naming each shape that failed."""
+    from repro.bench.claims import failures, render, run_claims
+
+    results = run_claims()
+    print(render(results))
+    failed = failures(results)
+    for line in failed:
+        print(f"FAIL {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_quickstart(args) -> None:
@@ -609,6 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list runnable systems").set_defaults(
         fn=cmd_list
     )
+
+    sub.add_parser(
+        "claims", help="check every paper claim (E1-E17) and print the table"
+    ).set_defaults(fn=cmd_claims)
 
     quickstart = sub.add_parser("quickstart", help="Figure 1 end to end")
     quickstart.add_argument("--txs", type=int, default=100)

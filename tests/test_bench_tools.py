@@ -1,4 +1,4 @@
-"""Tests for the benchmark harness, reporting, export, and YCSB presets."""
+"""Tests for the benchmark harness, table rendering, and YCSB presets."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro.bench import (
     sweep,
     top_hotspots,
 )
-from repro.bench.export import to_csv, to_markdown
+from repro.bench.reporting import to_markdown
 from repro.common.errors import ConfigError
 from repro.core import SystemConfig
 from repro.workloads import KvWorkload
@@ -109,17 +109,6 @@ class TestReporting:
 
 class TestExport:
     ROWS = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-
-    def test_csv_roundtrip(self, tmp_path):
-        path = tmp_path / "out.csv"
-        text = to_csv(self.ROWS, path)
-        assert path.read_text() == text
-        lines = text.strip().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1,x"
-
-    def test_csv_empty(self):
-        assert to_csv([]) == ""
 
     def test_markdown_table(self):
         text = to_markdown(self.ROWS)

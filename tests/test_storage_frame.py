@@ -34,14 +34,16 @@ def canonical(value) -> str:
 # mixed with arbitrary unicode; short keys over a small alphabet are
 # often prefixes of each other.
 TRICKY = '"\\\n,[]: !\x00\x1f\x7faé中\U0001f600'
+# No lone surrogates (Cs): run files are UTF-8, which cannot encode them.
+UNICODE = st.characters(exclude_categories=("Cs",))
 key_text = st.text(
-    alphabet=st.one_of(st.sampled_from(TRICKY), st.characters()), max_size=5
+    alphabet=st.one_of(st.sampled_from(TRICKY), UNICODE), max_size=5
 )
 plain_values = st.recursive(
     st.one_of(
         st.booleans(), st.integers(), st.floats(allow_nan=False,
                                                 allow_infinity=False),
-        st.text(alphabet=st.one_of(st.sampled_from(TRICKY), st.characters()),
+        st.text(alphabet=st.one_of(st.sampled_from(TRICKY), UNICODE),
                 max_size=12),
     ),
     lambda inner: st.one_of(
