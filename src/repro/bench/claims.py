@@ -1,4 +1,4 @@
-"""The tutorial's Discussion claims (E1–E17) as one checked registry.
+"""The tutorial's claims (E1–E24) as one checked registry.
 
 The paper has no result tables; its falsifiable content is the
 comparative claims at the end of each technique section. Each
@@ -7,13 +7,17 @@ entry points and a tuple of named :class:`Shape` predicates over the
 sweep's rows. Every shape reports the values it compared with its
 verdict, so the rendered table is claim vs. measured and a failure
 reads ``E1: XOV goodput falls below OX at skew 1.1 — 363.5 vs 914.1``.
+E1–E17 are the Discussion claims; E18–E24 are the performance and
+storage techniques the tutorial surveys (FastFabric's caching and
+pipelining, OXII's dependency graph, Fabric's block store and state
+database), checked as counts at small sizes.
 
 ``python -m repro claims`` runs the registry and prints the markdown
 table that EXPERIMENTS.md carries; ``tests/test_claims.py`` runs it in
 tier-1 and checks that the table in EXPERIMENTS.md is the fresh render.
 Everything is virtual time or a count, so the table is byte-identical
 run to run. Crypto cost is counted in modular exponentiations, not
-milliseconds.
+milliseconds; storage work in fsyncs, blocks read and bytes written.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from repro.bench.harness import run_architecture, sweep
+from repro.bench.profiling import hotpath_counters, reset_hotpath_counters
 from repro.bench.reporting import format_cell, to_markdown
 from repro.bench.resilience import (
     LOSS_RATES, TXS_BEFORE, TXS_DURING, resilience_cases, run_case,
@@ -42,22 +47,31 @@ from repro.consensus import (
 )
 from repro.consensus.base import ClusterConfig
 from repro.consensus.tendermint import TendermintReplica, proposer_schedule
-from repro.core import OxiiSystem, OxSystem, SystemConfig, XovSystem
+from repro.core import SYSTEMS, OxiiSystem, OxSystem, SystemConfig, XovSystem
 from repro.crypto import MembershipService
 from repro.crypto.commitments import PedersenParams
 from repro.crypto.group import SchnorrGroup, simulation_group
+from repro.execution import ParallelExecutor
 from repro.execution.contracts import standard_registry
 from repro.execution.endorsement import EndorsingPeerGroup, all_of, any_of, majority_of
 from repro.execution.mvcc import endorse
 from repro.execution.reorder import reorder_fabricpp, reorder_fabricsharp
+from repro.gateway import GatewayConfig, GatewayRun
+from repro.ledger.block import GENESIS_PREV_HASH, Block
 from repro.ledger.chain import Blockchain
-from repro.ledger.store import StateStore
+from repro.ledger.store import STORE_COUNTERS, StateStore, Version, reset_store_counters
 from repro.sharding import (
     AhlSystem, ResilientDbSystem, SaguaroConfig, SaguaroSystem, ShardedConfig,
     SharPerSystem, committee_failure_probability, min_committee_size,
 )
 from repro.sim.core import Simulation
 from repro.simtest import FuzzConfig, ScenarioSpec, run_fuzz
+from repro.storage import (
+    STORAGE_COUNTERS, BlockCache, DurableLedger, MemoryBackend, PagedRun,
+    PagedStateStore, RunWriter, SnapshotStore, build_canonical_chain, state_root,
+)
+from repro.storage.codec import entry_to_row
+from repro.storage.snapshots import run_name
 from repro.verifiability import (
     PrivateWallet, QuorumConfig, QuorumSystem, RangeProof, SeparConfig,
     SeparSystem, TokenAuthority,
@@ -66,6 +80,9 @@ from repro.verifiability.shielded import ShieldedPool
 from repro.workloads import (
     CrowdworkWorkload, KvWorkload, SmallBankWorkload, SupplyChainWorkload,
     smallbank_registry, supply_chain_registry,
+)
+from repro.workloads.openloop import (
+    OpenLoopConfig, OpenLoopWorkload, ScalableZipfSampler, ramp_steady_burst,
 )
 from repro.workloads.supply_chain import balance_key
 from repro.workloads.ycsb import profiles, ycsb
@@ -722,6 +739,219 @@ def _e17(campaign, protocol) -> Row:
             "shrunk_sizes": [f["shrunk_faults"] for f in report.failures]}
 
 
+def _e18(state_keys, system) -> Row:
+    architecture = SYSTEMS[system](SystemConfig(block_size=50, seed=21))
+    for i in range(state_keys + 1):
+        architecture.store.put(f"k{i}", 0, Version(0, 0))
+    architecture.store.snapshot()  # seal the preload: count the run's work
+    txs = KvWorkload(n_keys=state_keys, theta=0.6, read_fraction=0.2,
+                     rmw_fraction=0.7, seed=11).generate(300)
+    for tx in txs:
+        architecture.submit(tx)
+    reset_hotpath_counters()
+    result = architecture.run()
+    counters = hotpath_counters()
+    return {"committed": result.committed,
+            "snapshots": counters["store.snapshots_taken"],
+            "sig_verifies": int(result.extra["exec.sig_verified"]),
+            "merkle_nodes": counters["merkle.nodes_hashed"]}
+
+
+def _e19a(system, depth) -> Row:
+    txs = KvWorkload(n_keys=400, theta=1.1, read_fraction=0.2,
+                     rmw_fraction=0.6, seed=31).generate(240)
+    architecture = SYSTEMS[system](SystemConfig(block_size=40, seed=29,
+                                                pipeline_depth=depth))
+    result = _run(architecture, txs)
+    committed = architecture.committed_tx_ids()
+    return {"throughput_tps": result.to_row()["throughput_tps"],
+            # By submit position: tx ids differ from point to point.
+            "commit_set": tuple(i for i, tx in enumerate(txs)
+                                if tx.tx_id in committed)}
+
+
+def _e19b(skew, system) -> Row:
+    txs = KvWorkload(n_keys=60, theta=skew, read_fraction=0.2,
+                     rmw_fraction=0.7, seed=17).generate(240)
+    result = run_architecture(system, txs, SystemConfig(block_size=40, seed=19))
+    return {"mean_latency": result.to_row()["mean_latency"],
+            "exec_seconds": round(result.extra.get("exec.parallel_seconds", 0.0), 4)}
+
+
+def _oxii_advantage(skew) -> Measure:
+    return lambda rows: round(
+        pick(rows, "mean_latency", skew=skew, system="ox")
+        / pick(rows, "mean_latency", skew=skew, system="oxii"), 2)
+
+
+def _e20(workers) -> Row:
+    txs = KvWorkload(n_keys=1600, theta=0.2, read_fraction=0.2,
+                     rmw_fraction=0.6, seed=71).generate(400)
+    block = Block.create(height=1, prev_hash=GENESIS_PREV_HASH, transactions=txs)
+    with ParallelExecutor(standard_registry(), StateStore(), workers) as executor:
+        report = executor.execute_block(block)
+    return {"makespan_s": round(report.modelled_parallel_seconds, 4),
+            "digest": report.state_digest, "backend": report.backend,
+            "oracle_matches": report.oracle_matches,
+            "fallback_waves": report.fallback_waves}
+
+
+def _commit(ledger, chain) -> str:
+    """Every block of ``chain`` through the durable commit path; the
+    last root."""
+    registry = standard_registry()
+    for height in range(1, chain.height + 1):
+        root = ledger.apply_block(chain.block(height), registry)
+    return root
+
+
+def _e21(policy, interval) -> Row:
+    """Commit one chain, shut down cleanly, crash, restart."""
+    chain = build_canonical_chain(txs=30, seed=21)
+    backend = MemoryBackend()
+    ledger = DurableLedger(backend, policy=policy, snapshot_interval=interval)
+    fsyncs = STORAGE_COUNTERS["fsyncs"]
+    root = _commit(ledger, chain)
+    fsyncs = STORAGE_COUNTERS["fsyncs"] - fsyncs
+    ledger.flush()
+    backend.simulate_crash()
+    restarted = DurableLedger(backend, policy=policy, snapshot_interval=interval)
+    tail = restarted.tail_record_count()
+    recovered = restarted.recover(standard_registry)
+    return {"fsyncs": fsyncs, "blocks": chain.height,
+            "snapshot_height": recovered.snapshot_height, "wal_tail": tail,
+            "replayed": recovered.replayed,
+            "whole_chain": recovered.tail.tip_hash() == chain.tip_hash(),
+            "root": state_root(recovered.store), "oracle_root": root}
+
+
+def _e22(system, offered) -> Row:
+    workload = OpenLoopWorkload(OpenLoopConfig(
+        clients=200_000, invalid_fraction=0.01, seed=11,
+        phases=ramp_steady_burst(offered, steady=1.0),
+    ))
+    report = GatewayRun(
+        system, workload,
+        gateway_config=GatewayConfig(rate=100.0, burst=10.0, queue_capacity=300,
+                                     max_in_flight=600, batch_size=50),
+        system_config=SystemConfig(block_size=50, seed=11,
+                                   max_time=workload.config.duration + 60.0),
+    ).run()
+    row = report.to_row()
+    return {key: row[key] for key in (
+        "arrivals", "committed", "aborted", "shed", "timeouts", "goodput_tps",
+        "p50_latency", "p99_latency")}
+
+
+def _run_set(backend, keys: int, seed: int) -> list[dict]:
+    """Four runs, as a life of spills leaves them: the first writes every
+    key, each later one overwrites a sixteenth and tombstones a tenth of
+    that."""
+    rng = random.Random(seed)
+    writer = RunWriter(backend, run_name(1), keys)
+    for i in range(keys):
+        writer.add(entry_to_row(f"key{i:07d}", f"v1-{i}", Version(1, i)))
+    entries = [writer.finish()]
+    for run_id in range(2, 5):
+        touched = sorted(rng.sample(range(keys), keys // 16))
+        writer = RunWriter(backend, run_name(run_id), len(touched))
+        for index, i in enumerate(touched):
+            tombstone = rng.random() < 0.1
+            writer.add(entry_to_row(
+                f"key{i:07d}", None if tombstone else f"v{run_id}-{i}",
+                Version(-1, -1) if tombstone else Version(run_id, index)))
+        entries.append(writer.finish())
+    return entries
+
+
+def _e23a(mix, cache_kb) -> Row:
+    keys = 4000
+    backend = MemoryBackend()
+    entries = _run_set(backend, keys, seed=29)
+    oracle = SnapshotStore(backend).load_state({"runs": entries})
+    paged = PagedStateStore(backend, entries, BlockCache(cache_kb * 1024))
+    sampler = ScalableZipfSampler(keys, 0.9 if mix == "zipf" else 0.0,
+                                  random.Random(30))
+    probes = [f"key{sampler.sample():07d}" for _ in range(800)]
+    probes += [f"key{keys + i:07d}" for i in range(64)]  # absent keys
+    reset_store_counters()
+    mismatches = sum(paged.get_versioned(key) != oracle.get_versioned(key)
+                     for key in probes)
+    hits = STORE_COUNTERS["block_cache_hits"]
+    return {"mismatches": mismatches, "same_len": len(paged) == len(oracle),
+            "state_bytes": sum(entry["bytes"] for entry in entries),
+            "hit_rate": round(hits / (hits + STORE_COUNTERS["block_cache_misses"]), 4),
+            "evictions": STORE_COUNTERS["block_cache_evictions"],
+            "resident_bytes": paged.cache.resident_bytes}
+
+
+def _e23b(bulk_keys) -> Row:
+    """Bulk state plus a chain on top, crashed, recovered both ways."""
+    backend = MemoryBackend()
+    ledger = DurableLedger(backend)
+    for i in range(bulk_keys):
+        ledger.store.put(f"bulk{i:07d}", f"b{i}", Version(0, i))
+        ledger.spill.put(f"bulk{i:07d}", f"b{i}", Version(0, i))
+    chain = build_canonical_chain(txs=30, seed=37)
+    _commit(ledger, chain)
+    ledger.flush()
+    backend.simulate_crash()
+    tail = DurableLedger(backend).tail_record_count()
+    materialized = DurableLedger(backend).recover(standard_registry)
+    reset_store_counters()
+    paged = DurableLedger(backend, paged=True).recover(standard_registry)
+    return {"wal_tail": tail, "replayed": paged.replayed,
+            "agree": isinstance(paged.store, PagedStateStore)
+            and paged.tail.tip_hash() == materialized.tail.tip_hash()
+            and paged.tail.height == chain.height,
+            "blocks_read": STORE_COUNTERS["block_cache_misses"],
+            "snapshot_blocks": _blocks(
+                backend, SnapshotStore(backend).read_manifest()["runs"])}
+
+
+def _blocks(backend, entries) -> int:
+    return sum(PagedRun(backend, entry).block_count() for entry in entries)
+
+
+def _e24a(budget, compaction) -> Row:
+    """One chain through the durable commit path under an overlay byte
+    budget (0 = spill on the snapshot interval only)."""
+    chain = build_canonical_chain(txs=400, seed=41)
+    backend = MemoryBackend()
+    ledger = DurableLedger(backend, snapshot_interval=40, compaction=compaction,
+                           overlay_budget_bytes=budget)
+    reset_hotpath_counters()
+    _commit(ledger, chain)
+    manifest = ledger.snapshots.read_manifest()
+    oracle = ledger.snapshots.load_state(manifest)
+    paged = PagedStateStore(backend, manifest["runs"], BlockCache(32 * 1024))
+    return {"overlay_peak": STORE_COUNTERS["overlay_resident_peak"],
+            "budget_spills": STORE_COUNTERS["budget_spills"],
+            "compaction_bytes": STORE_COUNTERS["compaction_bytes_written"],
+            "root": state_root(oracle),
+            "runs_read_back": list(paged.scan()) == list(oracle.scan())
+            and state_root(oracle) == manifest["state_root"]}
+
+
+def _e24b(keys) -> Row:
+    backend = MemoryBackend()
+    entries = _run_set(backend, keys, seed=43)
+    oracle = SnapshotStore(backend).load_state({"runs": entries})
+    paged = PagedStateStore(backend, entries, BlockCache(64 * 1024))
+    # Fixed 48-key ranges inside the smallest key space, plus an empty
+    # and a one-key range.
+    bounds = [(f"key{base:07d}", f"key{base + 48:07d}")
+              for base in (0, 333, 951)]
+    bounds += [("key9999998", "key9999999"), (bounds[0][0], bounds[0][0])]
+    reset_store_counters()
+    scans = [(list(paged.scan(start, end)), list(oracle.scan(start, end)))
+             for start, end in bounds]
+    return {"rows_scanned": sum(len(want) for _, want in scans),
+            "mismatches": sum(got != want for got, want in scans),
+            "range_decodes": STORE_COUNTERS["range_block_decodes"],
+            "total_blocks": _blocks(backend, entries)}
+
+
 # -- the registry -------------------------------------------------------------------------
 
 _TOTAL = TXS_BEFORE + TXS_DURING
@@ -1204,6 +1434,189 @@ CLAIMS: tuple[Claim, ...] = (
             every("each ghost-timer failure shrinks to at most 2 faults",
                   lambda r: all(size <= 2 for size in r["shrunk_sizes"]),
                   campaign="ghost-timers"),
+        ),
+    ),
+    Claim(
+        "E18", "2.3.3",
+        "FastFabric does not redo work: a signature is verified once, and a "
+        "block's work follows its write set, not the size of the state",
+        Sweep(grid(system=("xov", "fastfabric"), state_keys=(1_000, 10_000)), _e18),
+        (
+            ordered("snapshots taken, 1k then 10k keys, XOV then FastFabric",
+                    each("snapshots"), operator.eq),
+            ordered("signature verifies, same order", each("sig_verifies"),
+                    operator.eq),
+            ordered("Merkle nodes hashed, same order", each("merkle_nodes"),
+                    operator.eq),
+            every("every run commits", lambda r: r["committed"] > 0),
+        ),
+    ),
+    Claim(
+        "E19a", "2.3.3",
+        'FastFabric "parallelizes the transaction validation pipeline"; '
+        "pipelining moves commit times, never the commit set",
+        Sweep(grid(system=("xov", "fastfabric", "fabricpp", "fabricsharp"),
+                   depth=(1, 2, 4)), _e19a),
+        (
+            every_against("the commit set is identical at pipeline depth 1, 2 and 4",
+                          lambda r, rows: r["commit_set"] == pick(
+                              rows, "commit_set", system=r["system"], depth=1)),
+            every_against("modelled throughput never falls below depth 1's",
+                          lambda r, rows: r["throughput_tps"] >= pick(
+                              rows, "throughput_tps", system=r["system"], depth=1)),
+            ordered("XOV throughput rises with depth 1, 2, 4",
+                    each("throughput_tps", system="xov"), operator.lt),
+        ),
+    ),
+    Claim(
+        "E19b", "2.3.3",
+        "OXII orders a dependency graph to execute in parallel; as contention "
+        "chains the graph up, its advantage over OX's serial execution shrinks",
+        Sweep(grid(skew=(0.0, 1.1), system=("ox", "oxii")), _e19b),
+        (
+            versus("OXII commits sooner than OX at skew 0", "mean_latency",
+                   dict(skew=0.0, system="oxii"), "<", dict(skew=0.0, system="ox")),
+            versus("OXII's latency grows from skew 0 to 1.1", "mean_latency",
+                   dict(skew=1.1, system="oxii"), ">", dict(skew=0.0, system="oxii")),
+            compare("OXII's latency advantage (OX / OXII) narrows from skew 0 to 1.1",
+                    _oxii_advantage(1.1), "<", _oxii_advantage(0.0)),
+            versus("OXII's scheduled makespan (s) grows as the graph serialises",
+                   "exec_seconds", dict(skew=1.1, system="oxii"), ">",
+                   dict(skew=0.0, system="oxii")),
+        ),
+    ),
+    Claim(
+        "E20", "2.3.3",
+        "OXII executes a block's conflict-free transactions concurrently, "
+        "to the same outcome as serial execution",
+        Sweep(grid(workers=(1, 2, 4)), _e20),
+        (
+            ordered("modelled makespan (s) falls with 1, 2, 4 pool workers",
+                    each("makespan_s"), operator.gt),
+            every_against("one block_effects_digest at every worker count",
+                          lambda r, rows: r["digest"] == pick(rows, "digest", workers=1)),
+            every("the pool runs every wave, and the serial oracle agrees",
+                  lambda r: r["oracle_matches"] and not r["fallback_waves"]
+                  and r["backend"] == ("serial" if r["workers"] == 1 else "process-pool")),
+        ),
+    ),
+    Claim(
+        "E21", "2.3",
+        "the ledger survives crashes: the fsync policy trades only the crash "
+        "loss window, and a restart replays the log past the last snapshot",
+        Sweep(grid(policy=("per-block", "group:4", "async"), interval=(3, 8, 24)),
+              _e21),
+        (
+            ordered("fsyncs fall per-block > group:4 > async (snapshot every 8)",
+                    each("fsyncs", interval=8), operator.gt),
+            every("a clean shutdown recovers the whole chain at its last root",
+                  lambda r: r["whole_chain"] and r["root"] == r["oracle_root"]),
+            every_against("one recovered root for every policy and interval",
+                          lambda r, rows: r["root"] == rows[0]["root"]),
+            every("replayed == blocks − snapshot height == WAL tail records",
+                  lambda r: r["replayed"] == r["blocks"] - r["snapshot_height"]
+                  == r["wal_tail"]),
+            ordered("replay grows with the snapshot interval 3, 8, 24 (per-block)",
+                    each("replayed", policy="per-block"), operator.lt),
+        ),
+    ),
+    Claim(
+        "E22", "1",
+        "clients of a permissioned network see end-to-end latency and goodput; "
+        "past the saturation knee the front door sheds load and counts it",
+        Sweep(grid(system=("ox", "fastfabric"), offered=(300, 2400, 4800)), _e22),
+        (
+            every("committed + aborted + shed + timeouts == arrivals",
+                  lambda r: r["committed"] + r["aborted"] + r["shed"]
+                  + r["timeouts"] == r["arrivals"]),
+            every("below the knee goodput tracks offered load (≥ 0.7× at 300 tx/s)",
+                  lambda r: r["goodput_tps"] >= 0.7 * r["offered"], offered=300),
+            every("each system has a knee: goodput < 0.8× offered at 4800 tx/s",
+                  lambda r: r["goodput_tps"] < 0.8 * r["offered"], offered=4800),
+            every_against("goodput plateaus: 4800 tx/s ≤ 1.25× the best below",
+                          lambda r, rows: r["goodput_tps"] <= 1.25 * max(
+                              each("goodput_tps", system=r["system"],
+                                   offered=(300, 2400))(rows)),
+                          offered=4800),
+            every("overload is counted: sheds + timeouts > 0 at 4800 tx/s",
+                  lambda r: r["shed"] + r["timeouts"] > 0, offered=4800),
+            every("bounded queues: p50 ≤ p99 ≤ 10 s",
+                  lambda r: 0 <= r["p50_latency"] <= r["p99_latency"] <= 10.0),
+        ),
+    ),
+    Claim(
+        "E23a", "2.3",
+        "the state database pages state larger than memory through a block "
+        "cache, and a paged read returns what the materialized state returns",
+        Sweep(grid(mix=("uniform", "zipf"), cache_kb=(8, 32, 128)), _e23a),
+        (
+            every("paged equals materialized on every probe, absent key and len",
+                  lambda r: r["mismatches"] == 0 and r["same_len"]),
+            ordered("uniform hit rate rises with 8, 32, 128 KB of cache",
+                    each("hit_rate", mix="uniform"), operator.lt),
+            ordered("Zipf hit rate rises with 8, 32, 128 KB of cache",
+                    each("hit_rate", mix="zipf"), operator.lt),
+            every("resident bytes stay within the cache budget",
+                  lambda r: r["resident_bytes"] <= r["cache_kb"] * 1024),
+            every("the state outgrows the 8 KB cache, which evicts",
+                  lambda r: r["state_bytes"] > 8 * 1024 and r["evictions"] > 0,
+                  cache_kb=8),
+        ),
+    ),
+    Claim(
+        "E23b", "2.3",
+        "restart cost follows the log tail past the last snapshot, not the "
+        "size of the state",
+        Sweep(grid(bulk_keys=(1_000, 10_000)), _e23b),
+        (
+            every("paged recovery replays exactly the non-empty WAL tail",
+                  lambda r: r["replayed"] == r["wal_tail"] > 0),
+            every("paged and materialized recovery agree on the whole chain",
+                  lambda r: r["agree"]),
+            versus("snapshot blocks grow ≥ 5× from 1k to 10k bulk keys",
+                   "snapshot_blocks", dict(bulk_keys=10_000), ">=",
+                   dict(bulk_keys=1_000), factor=5),
+            versus("recovery reads no more blocks at 10k bulk keys than at 1k",
+                   "blocks_read", dict(bulk_keys=10_000), "<=",
+                   dict(bulk_keys=1_000)),
+        ),
+    ),
+    Claim(
+        "E24a", "2.3",
+        "a byte budget on the in-memory overlay bounds resident memory, and "
+        "size-tiered compaction rewrites fewer bytes than full merges",
+        Sweep(grid(budget=(0, 256, 1024), compaction=("full", "tiered")), _e24a),
+        (
+            every("overlay peak ≤ budget + 256 B", lambda r: r["overlay_peak"]
+                  <= r["budget"] + 256, budget=(256, 1024)),
+            every("the budget forces spills between snapshots",
+                  lambda r: r["budget_spills"] > 0, budget=(256, 1024)),
+            every("unbudgeted, the overlay outgrows 1024 B",
+                  lambda r: r["overlay_peak"] > 1024, budget=0),
+            every_against("tiered compaction writes fewer bytes than full at an "
+                          "equal root",
+                          lambda r, rows: r["root"] == pick(
+                              rows, "root", budget=r["budget"], compaction="full")
+                          and r["compaction_bytes"] < pick(
+                              rows, "compaction_bytes", budget=r["budget"],
+                              compaction="full"),
+                          compaction="tiered"),
+            every("each final run set reads back the same paged, materialized "
+                  "and at the manifest's root", lambda r: r["runs_read_back"]),
+        ),
+    ),
+    Claim(
+        "E24b", "2.3",
+        "a range scan decodes only the blocks that intersect the range",
+        Sweep(grid(keys=(1_000, 10_000)), _e24b),
+        (
+            every("every range, empty and one-key range scans the same paged",
+                  lambda r: r["mismatches"] == 0 and r["rows_scanned"] > 0),
+            versus("total blocks grow ≥ 5× from 1k to 10k keys", "total_blocks",
+                   dict(keys=10_000), ">=", dict(keys=1_000), factor=5),
+            versus("range decodes stay flat: 10k keys within 1.5× of 1k",
+                   "range_decodes", dict(keys=10_000), "<=", dict(keys=1_000),
+                   factor=1.5),
         ),
     ),
 )

@@ -89,12 +89,11 @@ def hotpath_counters() -> dict[str, int]:
     """Current hot-path counters across subsystems, flattened as
     ``store.*``, ``merkle.*`` and ``exec.*`` keys.
 
-    ``store.snapshot_entries_copied`` stays 0 for the copy-on-write
-    store (only the eager baseline copies on snapshot) — benchmarks
-    assert on exactly that to prove snapshots are O(1) in state size.
-    ``exec.wave_fallbacks`` counts waves the process-pool backend
-    degraded to inline execution (worker crash/timeout/verify failure);
-    benchmarks assert it stays 0 on healthy runs.
+    The E18 claim reads ``store.snapshots_taken`` and
+    ``merkle.nodes_hashed`` to show per-run work does not grow with the
+    state size. ``exec.wave_fallbacks`` counts waves the process-pool
+    backend degraded to inline execution (worker crash/timeout/verify
+    failure); it stays 0 on healthy runs.
     """
     from repro.crypto.merkle import MERKLE_COUNTERS
     from repro.execution.parallel_backend import EXEC_COUNTERS

@@ -57,7 +57,7 @@ def cmd_list(_args) -> None:
     print("architectures:", ", ".join(sorted(SYSTEMS)))
     print("consensus protocols:", ", ".join(sorted(PROTOCOLS)))
     print("sharded systems: sharper, ahl, saguaro, resilientdb")
-    print("paper claims E1-E17: python -m repro claims")
+    print("paper claims E1-E24: python -m repro claims")
 
 
 def cmd_claims(_args) -> int:
@@ -625,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser(
-        "claims", help="check every paper claim (E1-E17) and print the table"
+        "claims", help="check every paper claim (E1-E24) and print the table"
     ).set_defaults(fn=cmd_claims)
 
     quickstart = sub.add_parser("quickstart", help="Figure 1 end to end")

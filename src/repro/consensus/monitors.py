@@ -15,6 +15,9 @@ the whole cluster):
 * :class:`DurableDecisionMonitor` — each replica's decided log grows
   strictly in order and is never rewritten or truncated, including
   across crash/recover cycles (the durability property).
+* :class:`DecidedOnceMonitor` — no replica decides one value at two
+  sequences (exactly-once ordering); protocol gap-fill values repeat
+  by design and are exempt.
 
 Monitors register by name in :data:`MONITOR_REGISTRY` so the DST engine
 (:mod:`repro.simtest`) can select invariants declaratively; use
@@ -34,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.consensus import paxos, pbft, raft
 from repro.sim.trace import NetworkTracer
 from repro.sim.watchdog import LivenessWatchdog, StallDiagnostic
 
@@ -159,6 +163,35 @@ class DurableDecisionMonitor(SafetyMonitor):
                         f"starts with its {len(log)} reported decisions"
                     )
         return self.ok
+
+
+#: Values protocols decide to plug sequence holes; any number of
+#: sequences may hold one.
+FILL_VALUES = frozenset({paxos.NOOP, pbft.NOOP, raft.NOOP})
+
+
+@register_monitor("decided-once")
+class DecidedOnceMonitor(SafetyMonitor):
+    """Exactly-once ordering: no replica decides one value at two
+    sequences. A client retry that is ordered again would be applied
+    twice by every system above consensus. Re-reporting a value at the
+    sequence it already holds (catch-up) is not a second decision."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: node -> repr(value) -> the sequence it was first decided at.
+        self._first: dict[str, dict[str, int]] = {}
+
+    def on_decide(self, node_id: str, sequence: int, value: Any) -> None:
+        if isinstance(value, str) and value in FILL_VALUES:
+            return
+        first = self._first.setdefault(node_id, {}).setdefault(
+            repr(value), sequence
+        )
+        if first != sequence:
+            self.violations.append(
+                f"{node_id} decided {value!r} at seq {first} and {sequence}"
+            )
 
 
 @register_monitor("durable-recovery")

@@ -239,6 +239,10 @@ class PaxosReplica(ConsensusReplica):
                 if slot not in best or ballot > best[slot][0]:
                     best[slot] = (ballot, value)
         for slot, (_, value) in sorted(best.items()):
+            if value != NOOP:
+                # The value is in flight at this slot now: the _propose
+                # loop below must not place it at a fresh one as well.
+                self._slot_of[digest_of(value)] = slot
             self._send_accepts(slot, value)
             self._next_slot = max(self._next_slot, slot + 1)
         self._next_slot = max(

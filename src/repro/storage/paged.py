@@ -34,8 +34,8 @@ layer hides everything older — and only bottom-tier compaction cancels
 them for good.
 
 Equivalence oracle: the fully-materialized ``load_state`` path is kept
-unchanged, and ``benchmarks/bench_state_paging.py`` (E23) gates that
-both paths return byte-identical values for every probed key.
+unchanged, and claim E23a (``repro.bench.claims``) checks that both
+paths return the same entry for every probed key.
 """
 
 from __future__ import annotations

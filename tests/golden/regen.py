@@ -7,9 +7,13 @@ the message and byte totals, the event count and the final clock.
 per (mode, seed): ``state`` covers what was committed and how many
 bytes each sink wrote, ``checksums`` only the run files' content
 checksums — so a change of on-disk encoding that moves no size, root or
-byte total shows as ``checksums`` rows moving and ``state`` rows not. A
-PR that only changes how fast the code runs leaves both files
-untouched; a PR that moves a row must say so.
+byte total shows as ``checksums`` rows moving and ``state`` rows not.
+``systems_digests.json`` pins every architecture in ``core.SYSTEMS``
+over both ordering fault models: what each block committed, the final
+state root, the result row with its ``abort.``/``exec.``/``order.``
+counters, and the message, byte and clock totals. A PR that only
+changes how fast the code runs leaves every file untouched; a PR that
+moves a row must say so.
 
 Regenerate (from the repo root)::
 
@@ -23,13 +27,14 @@ from functools import cache, partial
 from pathlib import Path
 
 from repro.consensus import PROTOCOLS, ConsensusCluster
-from repro.core import SystemConfig
+from repro.core import SYSTEMS, SystemConfig
 from repro.crypto.digests import sha256_hex
 from repro.gateway import GatewayConfig, GatewayRun
 from repro.ledger.store import STORE_COUNTERS
 from repro.sim.faults import FaultPlan
 from repro.sim.network import LanLatency
 from repro.storage import DurableCluster, SnapshotStore, state_root
+from repro.workloads import KvWorkload
 from repro.workloads.openloop import (
     OpenLoopConfig,
     OpenLoopWorkload,
@@ -38,6 +43,7 @@ from repro.workloads.openloop import (
 
 CONSENSUS_FILE = Path(__file__).with_name("consensus_digests.json")
 STORAGE_FILE = Path(__file__).with_name("storage_digests.json")
+SYSTEMS_FILE = Path(__file__).with_name("systems_digests.json")
 
 SEEDS = (1, 11)
 PLANS = ("retries", "chaos")
@@ -172,6 +178,39 @@ def durable_row(mode: str, seed: int, part: str) -> str:
     return durable_digests(mode, seed)[part]
 
 
+#: Ordering protocols the architecture rows run over: one crash, one
+#: Byzantine fault model.
+SYSTEM_PROTOCOLS = ("pbft", "raft")
+
+
+def systems_row(system: str, protocol: str, seed: int) -> str:
+    """One architecture over a small contended KV workload.
+
+    Committed transactions are digested as (contract, args) per block,
+    for the same reason as the durable rows: tx ids carry a
+    process-global sequence number.
+    """
+    txs = KvWorkload(n_keys=24, theta=0.9, read_fraction=0.2,
+                     rmw_fraction=0.6, seed=seed).generate(60)
+    architecture = SYSTEMS[system](SystemConfig(
+        protocol=protocol, block_size=10, seed=seed,
+    ))
+    for tx in txs:
+        architecture.submit(tx)
+    result = architecture.run()
+    committed = architecture.committed_tx_ids()
+    return sha256_hex(repr((
+        [[(tx.contract, tx.args) for tx in block.transactions
+          if tx.tx_id in committed] for block in architecture.ledger],
+        state_root(architecture.store),
+        result.to_row(),
+        sorted(result.extra.items()),
+        result.messages,
+        result.bytes_sent,
+        architecture.sim.now,
+    )))
+
+
 #: Golden file -> {row name -> thunk computing that row's digest}.
 FILES = {
     CONSENSUS_FILE: {
@@ -187,6 +226,12 @@ FILES = {
             partial(durable_row, mode, seed, part)
         for mode in DURABLE_MODES for seed in SEEDS
         for part in ("state", "checksums")
+    },
+    SYSTEMS_FILE: {
+        f"{system}/{protocol}/seed{seed}":
+            partial(systems_row, system, protocol, seed)
+        for system in SYSTEMS for protocol in SYSTEM_PROTOCOLS
+        for seed in SEEDS
     },
 }
 ROWS = {

@@ -1,4 +1,4 @@
-"""The paper's Discussion claims (E1–E17), checked in tier-1.
+"""The paper's claims (E1–E24), checked in tier-1.
 
 The registry runs once per module. Each claim id is its own test, so a
 regression fails by name (``E1: OX never aborts — 3/4 rows, not 1.1``),
@@ -23,7 +23,7 @@ def results():
 
 def test_ids_are_unique():
     ids = [claim.id for claim in CLAIMS]
-    assert len(ids) == len(set(ids)) == 30
+    assert len(ids) == len(set(ids)) == 40
 
 
 @pytest.mark.parametrize("claim_id", [claim.id for claim in CLAIMS])

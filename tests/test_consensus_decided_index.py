@@ -15,6 +15,7 @@ import pytest
 
 from repro.consensus import PROTOCOLS, ConsensusCluster, base
 from repro.consensus.base import digest_of
+from repro.consensus.monitors import MONITOR_REGISTRY
 from repro.sim.faults import FaultPlan
 from repro.sim.network import LanLatency
 
@@ -66,6 +67,29 @@ def test_index_matches_decided_values_and_retries_stay_closed(protocol, chaos):
     for replica in replicas:
         assert replica.decided == logs[replica.node_id]
         assert not replica._requests
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_no_value_is_decided_twice_across_a_leader_crash(protocol, seed):
+    """The golden chaos schedule under the ``decided-once`` monitor: the
+    leader crashes with values in flight, and the new leader must put
+    each back at its old sequence, never at a second one."""
+    cluster = _cluster(protocol, 4, 3, seed=seed)
+    monitor = MONITOR_REGISTRY["decided-once"]()
+    cluster.add_monitor(monitor)
+    sim = cluster.sim
+    FaultPlan().crash(2.2, "r0").recover(6.0, "r0").apply(
+        sim, cluster.network, cluster.replicas
+    )
+    for index in range(24):
+        value = (f"p{index:03d}",)
+        sim.schedule_at(2.0 + 0.02 * index, cluster.submit, value)
+        sim.schedule_at(2.3 + 0.02 * index, cluster.submit, value, "r1")
+        sim.schedule_at(30.0, cluster.submit, value, "r2")
+    sim.run(until=40.0)
+    assert all(len(r.decided) >= 24 for r in cluster.correct_replicas())
+    assert monitor.ok, f"{monitor.registry_name}: {monitor.violations[:3]}"
 
 
 def _digests_per_decision(protocol, proposals, monkeypatch):
