@@ -424,7 +424,8 @@ def _disk_drill(args) -> dict:
     handles, exactly the process-death model), recovers with a *fresh*
     ledger — replaying its WAL tail and garbage-collecting orphaned run
     files — and resumes from the recovered height. The report carries
-    per-node replay/orphan-GC telemetry; the drill passes iff every
+    per-node replay/orphan-GC telemetry and the bytes each sink (WAL,
+    spill, compaction) wrote per committed tx; the drill passes iff every
     node ends with the canonical tip hash and the no-crash serial
     state root.
     """
@@ -454,6 +455,7 @@ def _disk_drill(args) -> dict:
 
     base_dir = resolve_data_dir(args.data_dir)
     chain = build_canonical_chain(args.txs, args.seed)
+    committed_txs = max(1, sum(len(block) for block in chain))
     compaction = "tiered" if args.tiered else "full"
     # One seeded schedule: every node's crash heights come from this
     # RNG, so the whole drill is a pure function of (seed, txs, n).
@@ -474,6 +476,10 @@ def _disk_drill(args) -> dict:
             ledger = make_ledger(backend)
             registry = standard_registry()
             budget_spills_before = STORE_COUNTERS["budget_spills"]
+            sinks_before = {
+                sink: STORE_COUNTERS[f"{sink}_bytes_written"]
+                for sink in ("wal", "spill", "compaction")
+            }
             pending = list(crash_heights)
             telemetry = {
                 "recoveries": 0, "replayed": 0, "orphans_removed": 0,
@@ -513,6 +519,13 @@ def _disk_drill(args) -> dict:
                 "budget_spills": (
                     STORE_COUNTERS["budget_spills"] - budget_spills_before
                 ),
+                # What each sink wrote, crash re-commits included, per
+                # committed transaction.
+                "bytes_per_tx": {
+                    sink: round((STORE_COUNTERS[f"{sink}_bytes_written"]
+                                 - before) / committed_txs, 2)
+                    for sink, before in sinks_before.items()
+                },
                 "recovered_height": final.tail.height,
                 "tip_matches": final.tail.tip_hash() == chain.tip_hash(),
                 # With --paged this walks every key through the paged

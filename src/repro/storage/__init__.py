@@ -18,13 +18,7 @@ from repro.storage.backend import (
     OsBackend,
     reset_storage_counters,
 )
-from repro.storage.codec import (
-    block_from_dict,
-    block_to_dict,
-    decode_block,
-    encode_block,
-    state_root,
-)
+from repro.storage.codec import decode_block, encode_block, state_root
 from repro.storage.durable import (
     BlockAnnounce,
     BlockRange,
@@ -94,8 +88,6 @@ __all__ = [
     "STORAGE_TIER_COMPACTIONS",
     "SnapshotStore",
     "SpillBuffer",
-    "block_from_dict",
-    "block_to_dict",
     "build_canonical_chain",
     "decode_block",
     "encode_block",

@@ -47,6 +47,7 @@ STORAGE_COUNTERS = {
     "torn_detected": 0,
     "bit_flips": 0,
     "scripted_failures": 0,
+    "resyncs": 0,
 }
 
 

@@ -1,17 +1,21 @@
 """Stable serialization for blocks and state (the durable wire format).
 
-Blocks go into WAL records and manifests; state entries go into
-snapshot runs. Both use canonical JSON (sorted keys, no whitespace
-variance) so digests over the encoded bytes are deterministic across
-runs and platforms. Decoding rebuilds the exact in-memory objects —
-``Block.block_hash`` of a decoded block equals the original's, which is
-what lets recovery re-verify the hash chain from raw bytes.
+A WAL record is one block plus its post-commit state root as a
+*positional* JSON list — ``[header, root, [tx rows]]`` — compressed
+with zlib at level 1; the manifest's snapshot anchor is the bare
+header list. State entries go into snapshot runs as canonical JSON
+rows. Field order is fixed, so the encoded bytes are deterministic
+across runs and platforms for one zlib build. Decoding rebuilds the
+exact in-memory objects — ``Block.block_hash`` of a decoded block
+equals the original's, which is what lets recovery re-verify the hash
+chain from raw bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import zlib
 from typing import Any
 
 from repro.common.errors import StorageError
@@ -20,81 +24,64 @@ from repro.crypto.digests import sha256_hex
 from repro.ledger.block import Block, BlockHeader
 from repro.ledger.store import StateStore, Version
 
-
-def tx_to_dict(tx: Transaction) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "tx_id": tx.tx_id,
-        "contract": tx.contract,
-        "args": list(tx.args),
-        "submitter": tx.submitter,
-        "tx_type": tx.tx_type.value,
-        "declared_ops": [[op.op_type.value, op.key] for op in tx.declared_ops],
-        "involved": sorted(tx.involved),
-        "submitted_at": tx.submitted_at,
-    }
-    return out
+#: zlib level for WAL records: level 1 already takes a 100-tx record to
+#: about a quarter of its JSON; levels 6 and 9 shave 13–17 % more at
+#: about 2× and 3× the compress time on the commit path.
+WAL_ZLIB_LEVEL = 1
 
 
-def tx_from_dict(data: dict[str, Any]) -> Transaction:
-    return Transaction(
-        tx_id=data["tx_id"],
-        contract=data["contract"],
-        args=tuple(data["args"]),
-        submitter=data["submitter"],
-        tx_type=TxType(data["tx_type"]),
-        declared_ops=tuple(
-            Operation(OpType(kind), key) for kind, key in data["declared_ops"]
-        ),
-        involved=frozenset(data["involved"]),
-        submitted_at=float(data["submitted_at"]),
-    )
+def header_to_row(header: BlockHeader) -> list[Any]:
+    """A block header as ``[height, prev_hash, tx_root, timestamp,
+    proposer]`` — a WAL record's first field and the manifest anchor."""
+    return [header.height, header.prev_hash, header.tx_root,
+            header.timestamp, header.proposer]
 
 
-def block_to_dict(block: Block) -> dict[str, Any]:
-    header = block.header
-    return {
-        "height": header.height,
-        "prev_hash": header.prev_hash,
-        "tx_root": header.tx_root,
-        "timestamp": header.timestamp,
-        "proposer": header.proposer,
-        "transactions": [tx_to_dict(tx) for tx in block.transactions],
-    }
-
-
-def block_from_dict(data: dict[str, Any]) -> Block:
-    header = BlockHeader(
-        height=int(data["height"]),
-        prev_hash=data["prev_hash"],
-        tx_root=data["tx_root"],
-        timestamp=float(data["timestamp"]),
-        proposer=data["proposer"],
-    )
-    block = Block(
-        header=header,
-        transactions=tuple(tx_from_dict(t) for t in data["transactions"]),
-    )
-    block.validate_payload()  # decoded payload must match its tx_root
-    return block
+def header_from_row(row: Any) -> BlockHeader:
+    """Inverse of :func:`header_to_row`; StorageError on a bad shape."""
+    if not isinstance(row, list) or len(row) != 5:
+        raise StorageError(f"malformed block header {row!r}")
+    return BlockHeader(*row)
 
 
 def encode_block(block: Block, state_root: str) -> bytes:
-    """One WAL-record payload: the block plus the post-commit state root."""
-    return json.dumps(
-        {"block": block_to_dict(block), "state_root": state_root},
-        sort_keys=True, separators=(",", ":"),
-    ).encode()
+    """One WAL-record payload: the block plus the post-commit state root.
+
+    Each tx row is ``[tx_id, contract, args, submitter, tx_type,
+    declared_ops, involved, submitted_at]``.
+    """
+    rows = [
+        [tx.tx_id, tx.contract, list(tx.args), tx.submitter,
+         tx.tx_type.value,
+         [[op.op_type.value, op.key] for op in tx.declared_ops],
+         sorted(tx.involved), tx.submitted_at]
+        for tx in block.transactions
+    ]
+    text = json.dumps(
+        [header_to_row(block.header), state_root, rows],
+        separators=(",", ":"),
+    )
+    return zlib.compress(text.encode(), WAL_ZLIB_LEVEL)
 
 
 def decode_block(payload: bytes) -> tuple[Block, str]:
-    """Inverse of :func:`encode_block`; raises StorageError on garbage."""
+    """Inverse of :func:`encode_block`; StorageError on anything else,
+    including a payload whose transactions do not match its tx root."""
     try:
-        data = json.loads(payload.decode())
-        return block_from_dict(data["block"]), data["state_root"]
-    except StorageError:
-        raise
+        header, root, rows = json.loads(zlib.decompress(payload))
+        block = Block(header_from_row(header), tuple(
+            Transaction(tx_id, contract, tuple(args), submitter,
+                        TxType(tx_type),
+                        tuple(Operation(OpType(kind), key)
+                              for kind, key in ops),
+                        frozenset(involved), submitted_at)
+            for (tx_id, contract, args, submitter, tx_type, ops,
+                 involved, submitted_at) in rows
+        ))
+        block.validate_payload()
     except Exception as exc:  # noqa: BLE001 - any malformed payload
         raise StorageError(f"undecodable WAL payload: {exc}") from exc
+    return block, root
 
 
 # -- state digests ------------------------------------------------------------

@@ -13,10 +13,12 @@ what was durable. Recovery is the real algorithm:
    recorded — a paged store, which loads no rows, adopts the recorded
    root instead (any failure ⇒ the snapshot tier is untrusted ⇒ full
    resync from genesis via peers);
-2. replay the WAL tail — CRC-verified records only; each decoded block
-   must hash-chain from the recovered tip and reproduce the state root
-   its record committed to; a torn tail is truncated (repaired in
-   place) and the difference fetched from peers;
+2. replay the WAL tail — CRC-verified records only, each a compressed
+   positional ``[header, root, tx rows]`` list whose transactions must
+   match the header's tx root; each decoded block must hash-chain from
+   the recovered tip (the manifest keeps only the anchor's header) and
+   reproduce the state root its record committed to; a torn tail is
+   truncated (repaired in place) and the difference fetched from peers;
 3. only *then* re-arm protocol timers and re-join (the restart work is
    modelled as virtual time via :meth:`~repro.sim.node.Node.recovery_delay`,
    proportional to the WAL tail length).
@@ -39,6 +41,7 @@ from typing import Any, Callable
 
 from repro.common.errors import ConfigError, LedgerError, StorageError
 from repro.common.types import Operation, OpType, Transaction
+from repro.crypto.digests import sha256_hex
 from repro.execution.contracts import ContractRegistry, standard_registry
 from repro.execution.serial import execute_block_serially
 from repro.ledger.block import Block, genesis_block
@@ -47,12 +50,12 @@ from repro.ledger.store import STORE_COUNTERS, StateStore, Version
 from repro.sim.core import Simulation
 from repro.sim.network import LanLatency, LatencyModel, Network
 from repro.sim.node import Node
-from repro.storage.backend import FaultProfile, MemoryBackend
+from repro.storage.backend import STORAGE_COUNTERS, FaultProfile, MemoryBackend
 from repro.storage.codec import (
-    block_from_dict,
-    block_to_dict,
     decode_block,
     encode_block,
+    header_from_row,
+    header_to_row,
     state_root,
 )
 from repro.storage.paged import (
@@ -61,6 +64,7 @@ from repro.storage.paged import (
     PagedStateStore,
 )
 from repro.storage.snapshots import (
+    MANIFEST_NAME,
     CompactionPolicy,
     SnapshotStore,
     SpillBuffer,
@@ -133,36 +137,28 @@ def release_data_dir(path: str | Path) -> None:
 
 
 class ChainTail:
-    """A ledger suffix: an anchor block plus the blocks chained onto it.
+    """The head of a ledger suffix: the snapshot anchor, then each block
+    chained onto it.
 
     Recovery cannot use :class:`~repro.ledger.chain.Blockchain` — that
     class indexes blocks by absolute height from genesis, while a
-    recovered node holds only the snapshot anchor and the WAL tail. The
-    tail enforces the same chaining invariants on append; since every
-    block commits to its predecessor, tip-hash equality at equal height
-    still implies full-chain equality.
+    recovered node holds only the snapshot anchor's header and the WAL
+    tail. The tail enforces the same chaining invariants on append and
+    keeps only the head: since every block commits to its predecessor,
+    tip-hash equality at equal height still implies full-chain
+    equality, and a long-running node holds one block, not every block
+    since the anchor.
     """
 
     def __init__(self, anchor: Block) -> None:
-        self._blocks: list[Block] = [anchor]
-
-    @property
-    def anchor(self) -> Block:
-        return self._blocks[0]
-
-    @property
-    def head(self) -> Block:
-        return self._blocks[-1]
+        self.head = anchor
 
     @property
     def height(self) -> int:
-        return self._blocks[-1].height
+        return self.head.height
 
     def tip_hash(self) -> str:
-        return self._blocks[-1].block_hash
-
-    def __len__(self) -> int:
-        return len(self._blocks)
+        return self.head.block_hash
 
     def append(self, block: Block) -> None:
         if block.height != self.height + 1:
@@ -175,11 +171,7 @@ class ChainTail:
                 f"{self.head.block_hash[:12]}…"
             )
         block.validate_payload()
-        self._blocks.append(block)
-
-    def blocks(self) -> list[Block]:
-        """Anchor + tail, oldest first."""
-        return list(self._blocks)
+        self.head = block
 
 
 # -- the durable ledger -------------------------------------------------------
@@ -351,7 +343,7 @@ class DurableLedger:
         self.log.roll()
         manifest = self.snapshots.spill(
             buffer, self.snapshots.read_manifest() or {},
-            snapshot_height=anchor.height, anchor=block_to_dict(anchor),
+            snapshot_height=anchor.height, anchor=header_to_row(anchor.header),
             state_root=root, wal_segment=self.log.segment_id,
         )
         for segment_id in self._segment_ids():
@@ -397,12 +389,14 @@ class DurableLedger:
         """Rebuild (tail, store, spill buffer) from durable storage.
 
         Corruption handling follows the two-tier trust model: a bad
-        snapshot run or state-root mismatch discredits the *whole* local
-        state (``resync`` — wipe and refetch from genesis via peers); a
-        torn or corrupt WAL record only discredits the log *from that
-        point on* (truncate-and-repair, catch the difference up from
-        peers). Replayed writes are mirrored into a fresh spill buffer
-        so the next snapshot spill still covers them.
+        snapshot run, a state-root mismatch, a manifest of another
+        format, or a CRC-valid record that does not decode discredits
+        the *whole* local state (``resync`` — wipe and refetch from
+        genesis via peers, counted in ``STORAGE_COUNTERS["resyncs"]``);
+        a torn WAL record only discredits the log *from that point on*
+        (truncate-and-repair, catch the difference up from peers).
+        Replayed writes are mirrored into a fresh spill buffer so the
+        next snapshot spill still covers them.
         """
         manifest = self.snapshots.read_manifest()
         # Garbage-collect orphaned run files first: a crash between a run
@@ -414,7 +408,10 @@ class DurableLedger:
             self.backend.delete(name)
         self._start_at_genesis()
         snapshot_height = 0
-        resync = False
+        # A manifest on disk that does not read as this format (an older
+        # data directory, or an un-journalled first swap) anchors nothing
+        # this build can replay onto.
+        resync = manifest is None and self.backend.exists(MANIFEST_NAME)
         if manifest is not None:
             try:
                 recorded_root = manifest.get("state_root")
@@ -442,8 +439,11 @@ class DurableLedger:
                         raise StorageError(
                             "snapshot state root does not match manifest"
                         )
+                # Header only: nothing reads an anchor's transactions,
+                # and its hash is checked when the first replayed
+                # record chains from it.
                 anchor = (
-                    block_from_dict(manifest["anchor"])
+                    Block(header_from_row(manifest["anchor"]), ())
                     if "anchor" in manifest
                     else genesis_block()
                 )
@@ -464,7 +464,11 @@ class DurableLedger:
                     try:
                         block, recorded_root = decode_block(payload)
                     except StorageError:
-                        stop = torn = True
+                        # CRC-valid but not a record this build wrote:
+                        # stopping here without a truncate would let
+                        # later appends land behind it, lost again on
+                        # the next restart.
+                        resync = True
                         break
                     if block.height <= self.tail.height:
                         continue  # pre-snapshot record (stale segment)
@@ -493,6 +497,7 @@ class DurableLedger:
         if resync:
             # Local durable state is untrusted end to end: wipe it and
             # rebuild from genesis via peer catch-up.
+            STORAGE_COUNTERS["resyncs"] += 1
             for name in list(self.backend.list()):
                 self.backend.delete(name)
             self._start_at_genesis()
@@ -730,22 +735,22 @@ class DurableNode(Node):
 
 
 def durable_workload(txs: int, seed: int) -> list[Transaction]:
-    """The contended KV workload, canonical across durable runs."""
+    """The contended KV workload, canonical across durable runs. Tx ids
+    hash ``(seed, index)`` rather than the process-global counter, so the
+    compressed WAL bytes a run writes depend on its seed alone."""
     rng = random.Random(seed + 0xD15C)
     keys = [f"k{i}" for i in range(max(4, txs // 4))]
     out: list[Transaction] = []
     for i in range(txs):
         key = rng.choice(keys)
         if rng.random() < 0.5:
-            out.append(Transaction.create(
-                "kv_set", (key, i),
-                declared_ops=(Operation(OpType.WRITE, key),),
-            ))
+            contract, args, op = "kv_set", (key, i), OpType.WRITE
         else:
-            out.append(Transaction.create(
-                "increment", (key, 1),
-                declared_ops=(Operation(OpType.READ_WRITE, key),),
-            ))
+            contract, args, op = "increment", (key, 1), OpType.READ_WRITE
+        out.append(Transaction(
+            sha256_hex(f"durable|{seed}|{i}")[:16], contract, args,
+            declared_ops=(Operation(op, key),),
+        ))
     return out
 
 

@@ -25,8 +25,12 @@ style:
   JSON lists, v1 one unblocked blob) is rejected by name, and a
   durable node holding one resyncs.
 * The **manifest** is the tiny root of trust: the ordered list of live
-  runs (with checksums), the snapshot height, the anchor block the WAL
-  tail continues from, and the live WAL segments. It is replaced
+  runs (with checksums), the snapshot height, the header of the anchor
+  block the WAL tail continues from (the five-field list of
+  :func:`~repro.storage.codec.header_to_row` — never its
+  transactions), and the live WAL segment. Its ``format`` id names
+  this layout; a manifest with any other id reads as unusable and its
+  node resyncs. It is replaced
   atomically (write-temp + fsync + rename), so a crash at *any* point
   leaves either the old or the new snapshot set fully readable — never
   a mixture. Run files and WAL segments are only deleted **after** the
@@ -72,7 +76,8 @@ from repro.storage.codec import (
 )
 
 MANIFEST_NAME = "MANIFEST.json"
-MANIFEST_FORMAT = "repro-manifest/v1"
+#: v2: the anchor is a header list, not a whole block dict.
+MANIFEST_FORMAT = "repro-manifest/v2"
 
 RUN_PREFIX = "snap-"
 RUN_SUFFIX = ".json"
@@ -433,11 +438,12 @@ class SnapshotStore:
     # -- manifest ------------------------------------------------------------
 
     def read_manifest(self) -> dict[str, Any] | None:
-        """The current manifest, or None when absent/undecodable.
+        """The current manifest, or None when absent, undecodable or of
+        another format.
 
-        An undecodable manifest (bit flip, lost rename journal) is
-        treated as *no snapshot state* — the caller falls back to a
-        full resync, which is always safe.
+        A manifest file that reads as None (an older format, a lost
+        rename journal) is *no usable snapshot state* — recovery falls
+        back to a full resync, which is always safe.
         """
         if not self.backend.exists(MANIFEST_NAME):
             return None

@@ -4,6 +4,10 @@ Record layout (all integers big-endian)::
 
     MAGIC(4) | payload_length(4) | crc32(payload)(4) | payload
 
+Payloads are opaque here; a durable ledger's is one zlib-compressed
+positional block record (:func:`~repro.storage.codec.encode_block`),
+and the CRC covers the compressed bytes.
+
 Replay walks records sequentially and stops at the first sign of
 corruption — a bad magic, a length running past end-of-file, or a CRC
 mismatch. Everything before that point is trusted; everything from it

@@ -130,10 +130,10 @@ def durable_digests(mode: str, seed: int) -> dict[str, str]:
     recovers (in the paged modes it serves from run files from then on,
     collapsing onto every later spill), ``d1`` never stops.
 
-    Transactions are digested as (contract, args): a tx id carries a
-    process-global sequence number, so ids — and every hash over them —
-    depend on what ran earlier in the process. Run rows, state roots and
-    record lengths do not.
+    Transactions are digested as (contract, args), as in the systems
+    rows. A durable tx id hashes (seed, index), not the process-global
+    sequence number, so the compressed WAL byte total — like run rows,
+    state roots and the other sinks — depends on the seed alone.
     """
     before = {sink: STORE_COUNTERS[sink] for sink in WRITE_SINKS}
     cluster = DurableCluster(n=2, txs=60, seed=seed, **DURABLE_MODES[mode])

@@ -4,6 +4,7 @@ deferred timer re-arm semantics, data_dir validation, and chaos runs
 where recovered nodes must end byte-identical to the serial oracle."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro import cli
 from repro.common.errors import ConfigError, LedgerError, StorageError
 from repro.consensus.monitors import MONITOR_REGISTRY
 from repro.execution.contracts import standard_registry
-from repro.ledger.store import StateStore
+from repro.ledger.store import STORE_COUNTERS, StateStore
 from repro.sim.core import Simulation
 from repro.sim.network import Network
 from repro.sim.node import Node
@@ -19,16 +20,19 @@ from repro.simtest.fuzzer import FuzzConfig, assert_plan_holds, run_fuzz
 from repro.simtest.plan import FaultSpec, PlanSpec
 from repro.simtest.scenarios import ScenarioSpec, run_scenario
 from repro.storage import (
+    STORAGE_COUNTERS,
     DurableCluster,
     DurableLedger,
     FaultProfile,
     MemoryBackend,
     OsBackend,
+    SpillBuffer,
     build_canonical_chain,
     release_data_dir,
     resolve_data_dir,
     state_root,
 )
+from repro.storage.snapshots import MANIFEST_NAME
 
 
 def commit_chain(ledger, chain, upto=None):
@@ -135,6 +139,82 @@ def test_corrupt_snapshot_run_forces_full_resync():
     assert result.tail.height == 0
     assert state_root(result.store) == state_root(StateStore())
     assert backend.list() == []
+
+
+def test_undecodable_record_resyncs_so_later_appends_survive():
+    """A CRC-valid record that does not decode discredits the local log.
+    Stopping in front of it without a truncate let every later append
+    land behind it, to be dropped again by the next restart."""
+    backend = MemoryBackend()
+    chain = build_canonical_chain(txs=14, seed=9)
+    ledger = DurableLedger(backend, policy="per-block", snapshot_interval=100)
+    commit_chain(ledger, chain, upto=3)
+    ledger.log.append(b"a CRC-valid record this build never wrote")
+    before = dict(STORAGE_COUNTERS)
+    ledger.power_fail()
+    first = ledger.recover(standard_registry)
+    assert first.resync and first.tail.height == 0
+    assert STORAGE_COUNTERS["resyncs"] == before["resyncs"] + 1
+    commit_chain(ledger, chain)  # the peer catch-up from genesis
+    ledger.power_fail()
+    second = ledger.recover(standard_registry)
+    assert not second.resync
+    assert second.tail.tip_hash() == chain.tip_hash()
+
+
+def test_manifest_of_an_older_format_resyncs_counted():
+    """An old data directory — here a v1 manifest with a whole-block
+    anchor dict and an empty WAL tail — is wiped and refetched, not
+    read as a header list and not silently restarted at genesis."""
+    backend = MemoryBackend()
+    chain = build_canonical_chain(txs=14, seed=9)
+    ledger = DurableLedger(backend, policy="per-block", snapshot_interval=3)
+    commit_chain(ledger, chain, upto=3)
+    manifest = ledger.snapshots.read_manifest()
+    assert manifest["snapshot_height"] == 3
+    backend.replace(MANIFEST_NAME, json.dumps(dict(
+        manifest, format="repro-manifest/v1",
+        anchor={**asdict(chain.block(3).header), "transactions": []},
+    )).encode())
+    before = dict(STORAGE_COUNTERS)
+    ledger.power_fail()
+    result = ledger.recover(standard_registry)
+    assert result.resync and result.tail.height == 0
+    assert backend.list() == []
+    assert STORAGE_COUNTERS["resyncs"] == before["resyncs"] + 1
+
+
+#: WAL bytes per committed tx for ``wal_bytes_per_tx()`` when a record was
+#: a sorted-key JSON dict per block (exact: every field has fixed length).
+DICT_RECORD_BYTES_PER_TX = 192.56
+
+
+def wal_bytes_per_tx(txs=200, block_txs=20):
+    ledger = DurableLedger(
+        MemoryBackend(), policy="per-block", snapshot_interval=10_000
+    )
+    before = STORE_COUNTERS["wal_bytes_written"]
+    commit_chain(ledger, build_canonical_chain(txs, seed=5,
+                                               block_txs=block_txs))
+    return (STORE_COUNTERS["wal_bytes_written"] - before) / txs
+
+
+def test_wal_record_bytes_per_tx_are_a_quarter_of_the_dict_record():
+    assert wal_bytes_per_tx() <= DICT_RECORD_BYTES_PER_TX / 4
+
+
+def test_manifest_size_does_not_depend_on_anchor_block_size():
+    """The anchor is its header: a 200-tx anchor block costs the
+    manifest what a 1-tx one does."""
+    def manifest_bytes(anchor_txs):
+        anchor = build_canonical_chain(
+            anchor_txs, seed=5, block_txs=anchor_txs
+        ).block(1)
+        ledger = DurableLedger(MemoryBackend(), snapshot_interval=10)
+        ledger.snapshot(anchor, "0" * 64, SpillBuffer())
+        return ledger.backend.size(MANIFEST_NAME)
+
+    assert manifest_bytes(1) == manifest_bytes(200)
 
 
 def test_recover_on_empty_backend_is_genesis():
@@ -291,6 +371,8 @@ def test_recover_drill_on_real_files_is_clean_and_deterministic(
         assert node["recoveries"] == 2
         assert node["budget_spills"] > 0
         assert node["resync"] is False
+        assert node["bytes_per_tx"]["wal"] > 0
+        assert node["bytes_per_tx"]["spill"] > 0
     assert drill() == first
 
 

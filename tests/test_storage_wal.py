@@ -1,15 +1,26 @@
 """The WAL layer: record format, torn-tail detection, fsync policies,
 segment bookkeeping — all over the deterministic MemoryBackend and its
-explicit durability model (unsynced bytes die with the process)."""
+explicit durability model (unsynced bytes die with the process) — and
+the block codec whose payloads the durable ledger writes into it."""
+
+import json
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import StorageError
+from repro.common.types import Operation, OpType, Transaction, TxType
+from repro.ledger.block import Block
 from repro.storage import (
     BlockLog,
     FaultProfile,
     FsyncPolicy,
     MemoryBackend,
+    build_canonical_chain,
+    decode_block,
+    encode_block,
     encode_record,
     replay_records,
     segment_name,
@@ -18,6 +29,64 @@ from repro.storage import (
 
 def payloads(n):
     return [f"record-{i}".encode() for i in range(n)]
+
+
+# -- block payloads --------------------------------------------------------------
+
+# No lone surrogates (Cs): a transaction digests its UTF-8 bytes.
+TEXT = st.text(alphabet=st.characters(exclude_categories=("Cs",)),
+               max_size=8)
+ARGS = st.lists(st.one_of(
+    st.none(), st.booleans(), st.integers(), TEXT,
+    st.floats(allow_nan=False),
+), max_size=4).map(tuple)
+
+
+def transactions(tx_type):
+    return st.builds(
+        Transaction, tx_id=TEXT, contract=TEXT, args=ARGS, submitter=TEXT,
+        tx_type=st.just(tx_type),
+        declared_ops=st.lists(
+            st.builds(Operation, st.sampled_from(OpType), TEXT), max_size=3
+        ).map(tuple),
+        involved=st.frozensets(TEXT, max_size=3),
+        submitted_at=st.floats(allow_nan=False),
+    )
+
+
+@st.composite
+def blocks(draw):
+    """Every TxType at least once, then a few more of any type."""
+    types = list(TxType) + draw(st.lists(st.sampled_from(TxType), max_size=4))
+    return Block.create(
+        height=draw(st.integers(min_value=0, max_value=2**40)),
+        prev_hash=draw(st.text(alphabet="0123456789abcdef", max_size=64)),
+        transactions=[draw(transactions(tx_type)) for tx_type in types],
+        timestamp=draw(st.floats(allow_nan=False)),
+        proposer=draw(TEXT),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks(), st.text(alphabet="0123456789abcdef", max_size=64))
+def test_block_record_round_trips(block, root):
+    decoded, decoded_root = decode_block(encode_block(block, root))
+    assert decoded == block and decoded_root == root
+    assert decoded.block_hash == block.block_hash
+
+
+def test_edited_payload_with_a_resealed_crc_is_rejected():
+    """The CRC only says the bytes are the ones written: a payload edited
+    and re-sealed passes replay, and the tx-root check must catch it."""
+    block = build_canonical_chain(txs=4, seed=1, block_txs=4).block(1)
+    header, root, rows = json.loads(
+        zlib.decompress(encode_block(block, "ab" * 32))
+    )
+    rows[0][2] = ["k0", 999]
+    forged = zlib.compress(json.dumps([header, root, rows]).encode())
+    assert replay_records(encode_record(forged)).payloads == [forged]
+    with pytest.raises(StorageError, match="tx root mismatch"):
+        decode_block(forged)
 
 
 # -- record format -------------------------------------------------------------
