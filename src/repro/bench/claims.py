@@ -730,7 +730,7 @@ _GHOST_DETECTORS = ("pbft", "tendermint", "ibft")
 
 
 def _e17(campaign, protocol) -> Row:
-    flags = ("ghost-timers",) if campaign == "ghost-timers" else ()
+    flags = () if campaign == "clean" else (campaign,)  # a FLAGS name
     report = run_fuzz(FuzzConfig(
         scenario=ScenarioSpec(protocol=protocol, n=4, txs=4, seed=0, flags=flags),
         runs=15 if campaign == "clean" else 12, seed=7,

@@ -33,6 +33,8 @@ from repro.common.types import Transaction
 from repro.consensus import PROTOCOLS, ConsensusCluster
 from repro.core import SYSTEMS, OxSystem, SystemConfig
 from repro.simtest import (
+    FLAGS,
+    TARGETS,
     FuzzConfig,
     ScenarioSpec,
     default_axes,
@@ -345,21 +347,25 @@ def cmd_shard(args) -> None:
     )
 
 
+def _add_flag_args(parser, storage_only: bool = False) -> None:
+    """One ``--<flag>`` switch per behaviour flag in the table."""
+    for name, flag in FLAGS.items():
+        if storage_only and not flag.storage:
+            continue
+        scope = "durable target: " if flag.storage and not storage_only else ""
+        parser.add_argument(
+            f"--{name}", action="store_true", help=scope + flag.help
+        )
+
+
+def _flags_from_args(args) -> tuple[str, ...]:
+    """The behaviour flags switched on, in table order."""
+    return tuple(
+        name for name in FLAGS if getattr(args, name.replace("-", "_"), False)
+    )
+
+
 def _scenario_from_args(args) -> ScenarioSpec:
-    flags = []
-    if getattr(args, "ghost_timers", False):
-        flags.append("ghost-timers")
-    if getattr(args, "torn_disk", False):
-        flags.append("torn-disk")
-    if getattr(args, "lying_disk", False):
-        flags.append("lying-disk")
-    if getattr(args, "paged", False):
-        flags.append("paged")
-    if getattr(args, "tiered", False):
-        flags.append("tiered")
-    if getattr(args, "spill", False):
-        flags.append("spill")
-    flags = tuple(flags)
     return ScenarioSpec(
         target=args.target,
         protocol=args.protocol,
@@ -367,7 +373,7 @@ def _scenario_from_args(args) -> ScenarioSpec:
         n=args.n,
         txs=args.txs,
         seed=0,  # per-run seeds come from the campaign master seed
-        flags=flags,
+        flags=_flags_from_args(args),
     )
 
 
@@ -564,20 +570,9 @@ def cmd_recover(args) -> int:
     from repro.simtest.plan import FaultSpec, PlanSpec, _round
     from repro.simtest.scenarios import run_scenario
 
-    flags = []
-    if args.torn_disk:
-        flags.append("torn-disk")
-    if args.lying_disk:
-        flags.append("lying-disk")
-    if args.paged:
-        flags.append("paged")
-    if args.tiered:
-        flags.append("tiered")
-    if args.spill:
-        flags.append("spill")
     scenario = ScenarioSpec(
         target="durable", n=args.n, txs=args.txs, seed=args.seed,
-        flags=tuple(flags),
+        flags=_flags_from_args(args),
     )
     victim = scenario.replica_ids[0]
     plan = PlanSpec((
@@ -732,11 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.set_defaults(fn=cmd_gateway)
 
     def add_scenario_args(p) -> None:
-        p.add_argument(
-            "--target",
-            choices=("consensus", "system", "durable", "gateway"),
-            default="consensus",
-        )
+        p.add_argument("--target", choices=tuple(TARGETS), default="consensus")
         p.add_argument("--protocol", default="raft",
                        help="consensus protocol (and system orderer)")
         p.add_argument("--architecture", default="xov",
@@ -744,36 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "(with --target system/gateway)")
         p.add_argument("--n", type=int, default=4, help="cluster size")
         p.add_argument("--txs", type=int, default=4)
-        p.add_argument(
-            "--ghost-timers", action="store_true",
-            help="re-introduce the fixed ghost-timer kernel bug "
-            "(regression target for the fuzzer itself)",
-        )
-        p.add_argument(
-            "--torn-disk", action="store_true",
-            help="durable target: inject partial writes and bit flips "
-            "into the storage backend",
-        )
-        p.add_argument(
-            "--lying-disk", action="store_true",
-            help="durable target: fsyncs may report success without "
-            "persisting",
-        )
-        p.add_argument(
-            "--paged", action="store_true",
-            help="durable target: recovery serves reads straight from "
-            "blocked run files (paged store) instead of materializing",
-        )
-        p.add_argument(
-            "--tiered", action="store_true",
-            help="durable target: size-tiered band compaction instead "
-            "of full merges",
-        )
-        p.add_argument(
-            "--spill", action="store_true",
-            help="durable target: tiny overlay byte budget forcing "
-            "mid-interval snapshot spills",
-        )
+        _add_flag_args(p)
         p.add_argument(
             "--save-dir", default="",
             help="write a repro capsule per failure into this directory",
@@ -809,28 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     recover.add_argument("--seed", type=int, default=0)
     recover.add_argument("--crash-time", type=float, default=0.9)
     recover.add_argument("--recover-time", type=float, default=1.6)
-    recover.add_argument(
-        "--torn-disk", action="store_true",
-        help="inject partial writes and bit flips",
-    )
-    recover.add_argument(
-        "--lying-disk", action="store_true",
-        help="fsyncs may report success without persisting",
-    )
-    recover.add_argument(
-        "--paged", action="store_true",
-        help="recover into a paged store reading blocked run files "
-        "directly (larger-than-RAM state path)",
-    )
-    recover.add_argument(
-        "--tiered", action="store_true",
-        help="size-tiered band compaction instead of full merges",
-    )
-    recover.add_argument(
-        "--spill", action="store_true",
-        help="tiny overlay byte budget forcing mid-interval spills "
-        "(simulated cluster only; --data-dir uses --overlay-budget)",
-    )
+    _add_flag_args(recover, storage_only=True)
     recover.add_argument(
         "--cache-bytes", type=int, default=4 * 1024 * 1024,
         help="block-cache byte budget for --paged (default 4MB)",
@@ -848,7 +789,8 @@ def build_parser() -> argparse.ArgumentParser:
     recover.add_argument(
         "--overlay-budget", type=int, default=0,
         help="--data-dir drill: overlay byte budget; past it the ledger "
-        "spills a snapshot early (0 = unbounded)",
+        "spills a snapshot early (0 = unbounded; --spill sets the "
+        "simulated cluster's)",
     )
     recover.add_argument(
         "--drill-crashes", type=int, default=2,

@@ -261,10 +261,6 @@ class CaperSystem:
                 leaks[enterprise] = found
         return leaks
 
-    def storage_per_enterprise(self) -> dict[str, int]:
-        """Vertices each enterprise stores (its view size)."""
-        return {e: len(self.view(e)) for e in self.enterprises}
-
     def _build_result(self) -> RunResult:
         result = RunResult(system="caper")
         last = 0.0

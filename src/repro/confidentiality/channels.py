@@ -105,10 +105,6 @@ class MultiChannelFabric:
 
     # -- submission ------------------------------------------------------------
 
-    def channel_of(self, enterprise: str) -> list[str]:
-        """Channels this enterprise is a member of."""
-        return [c.name for c in self.channels.values() if enterprise in c.members]
-
     def submit(self, tx: Transaction, channels: list[str]) -> None:
         """Submit ``tx`` to one channel (normal) or several (cross-channel)."""
         unknown = [c for c in channels if c not in self.channels]

@@ -295,18 +295,6 @@ class GuardedRun:
     def ok(self) -> bool:
         return self.decided and self.monitors_ok
 
-    def failure_summary(self) -> str:
-        """The full failure payload: violations plus the structured
-        stall diagnostic (for assertion messages and fuzz capsules)."""
-        lines: list[str] = []
-        if not self.decided:
-            lines.append("liveness: goal not reached")
-        lines.extend(f"safety: {violation}" for violation in self.violations)
-        if self.diagnostic is not None:
-            lines.append(self.diagnostic.summary())
-        return "\n".join(lines) if lines else "ok"
-
-
 def guarded_run_until_decided(
     cluster,
     count: int,

@@ -103,11 +103,6 @@ class TendermintReplica(ConsensusReplica):
     def power_of(self, sender: str) -> int:
         return self.weights.get(sender, 0)
 
-    def _has_supermajority(self, votes: dict[str, str | None],
-                           digest: str | None) -> bool:
-        power = sum(self.power_of(s) for s, d in votes.items() if d == digest)
-        return 3 * power > 2 * self.total_power
-
     def _any_supermajority(self, votes: dict[str, str | None]) -> str | None | bool:
         """Digest (or None for nil) holding > 2/3 power, else False."""
         tally: dict[str | None, int] = {}

@@ -21,8 +21,3 @@ def hash_pair(left: str, right: str) -> str:
     material = f"{len(left)}:{left}|{len(right)}:{right}"
     return sha256_hex(material)
 
-
-def hash_int(value: int) -> str:
-    """Digest of an arbitrary-precision integer (big-endian bytes)."""
-    length = max(1, (value.bit_length() + 7) // 8)
-    return sha256_hex(value.to_bytes(length, "big", signed=False))

@@ -46,7 +46,6 @@ from repro.execution.depgraph import (
 from repro.execution.parallel_backend import (
     ParallelExecutionReport,
     ParallelExecutor,
-    RemoteContractRunner,
     ReplicaStateView,
     block_effects_digest,
     execute_block_parallel,
@@ -83,7 +82,6 @@ __all__ = [
     "ParallelExecutor",
     "RWSet",
     "ReexecutionReport",
-    "RemoteContractRunner",
     "ReorderOutcome",
     "ReplicaStateView",
     "SealTracker",

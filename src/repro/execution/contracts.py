@@ -89,9 +89,6 @@ class ContractRegistry:
     def cost(self, name: str) -> float:
         return self._lookup(name).cost
 
-    def names(self) -> list[str]:
-        return list(self._contracts)
-
     def __contains__(self, name: str) -> bool:
         return name in self._contracts
 

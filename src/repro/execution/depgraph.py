@@ -11,8 +11,8 @@ easy to reason about) and :func:`schedule_parallel` (event-driven list
 scheduling on a fixed executor pool, the makespan model used by the
 benchmarks). Everything on this path is linear in vertices + edges:
 :meth:`DependencyGraph.waves` is one forward pass (Kahn-style level
-propagation over the stored successors), predecessors and adjacency are
-computed once and cached, and the schedulers keep executor lanes in
+propagation over the stored successors), adjacency is computed once
+and cached, and the schedulers keep executor lanes in
 heaps instead of rebuilding per-step sets.
 
 Per-block graphs are built incrementally by
@@ -39,16 +39,12 @@ class DependencyGraph:
     construction and any schedule respecting it is equivalent to serial
     execution in block order.
 
-    Derived views (:meth:`predecessors`, :meth:`sorted_successors`,
-    :meth:`indegrees`, :meth:`waves`) are cached on first use; the graph
-    is treated as frozen once any of them is computed.
+    :meth:`sorted_successors` is cached on first use; the graph is
+    treated as frozen once it is computed.
     """
 
     txs: list[Transaction]
     successors: dict[int, set[int]] = field(default_factory=dict)
-    _preds: dict[int, set[int]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _adjacency: tuple[tuple[int, ...], ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -60,16 +56,6 @@ class DependencyGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(s) for s in self.successors.values())
-
-    def predecessors(self) -> dict[int, set[int]]:
-        """Reverse adjacency, computed once and cached."""
-        if self._preds is None:
-            preds: dict[int, set[int]] = {i: set() for i in range(len(self.txs))}
-            for i, succs in self.successors.items():
-                for j in succs:
-                    preds[j].add(i)
-            self._preds = preds
-        return self._preds
 
     def sorted_successors(self) -> tuple[tuple[int, ...], ...]:
         """Successor lists in ascending order, computed once and cached

@@ -95,8 +95,6 @@ EXEC_COUNTERS = {
     "pool_failures": 0,
     "tasks_shipped": 0,
     "delta_entries_shipped": 0,
-    "remote_txs": 0,
-    "remote_fallbacks": 0,
     "oracle_checks": 0,
     "oracle_mismatches": 0,
 }
@@ -156,16 +154,14 @@ class ReplicaStateView:
     Workers read through one of these (base = the snapshot inherited at
     fork, overlay = every delta the coordinator shipped since); the
     serial oracle replays through another (base = the pre-block
-    snapshot, overlay = its own writes). ``base=None`` supports the
-    remote single-transaction path, where the coordinator ships explicit
-    entries for every declared key instead of a whole snapshot.
+    snapshot, overlay = its own writes).
     """
 
     __slots__ = ("_base", "_overlay")
 
     def __init__(
         self,
-        base: StateSnapshot | None = None,
+        base: StateSnapshot,
         overlay: dict[str, VersionedValue] | None = None,
     ) -> None:
         self._base = base
@@ -175,8 +171,6 @@ class ReplicaStateView:
         entry = self._overlay.get(key, _ABSENT)
         if entry is not _ABSENT:
             return entry
-        if self._base is None:
-            return _DELETED
         return self._base.get_versioned(key)
 
     def get(self, key: str, default: Any = None) -> Any:
@@ -262,9 +256,6 @@ def _worker_main(conn) -> None:
     * ``("wave", delta, tasks)`` -> ``("ok", rows)`` — sync the replica
       with ``delta``, execute ``tasks`` against the synced view (results
       are buffered, never self-applied), reply with every row.
-    * ``("tx", task, entries)`` -> ``("ok", row)`` — the remote
-      single-transaction path: execute against exactly the shipped
-      entries, no persistent state.
     * ``("stop",)`` — exit.
 
     Unexpected exceptions reply ``("err", traceback)`` and keep the loop
@@ -290,11 +281,6 @@ def _worker_main(conn) -> None:
                 view = ReplicaStateView(base, replica._overlay)
                 rows = [_capture_task(registry, t, view) for t in tasks]
                 reply = ("ok", rows)
-            elif kind == "tx":
-                _kind, task, entries = message
-                scratch = ReplicaStateView()
-                scratch.apply_delta(entries)
-                reply = ("ok", _capture_task(registry, task, scratch))
             else:
                 reply = ("err", f"unknown message kind {kind!r}")
         except BaseException:
@@ -375,10 +361,11 @@ class ParallelExecutor:
 
     The pool forks at construction, inheriting an O(1) COW snapshot of
     ``store``; after that, **every write to the store must flow through**
-    :meth:`execute_block` (or be announced via
-    :meth:`note_external_writes`) so worker replicas stay in sync — the
+    :meth:`execute_block` so worker replicas stay in sync — the
     coordinator ships each wave's committed writes as the next wave's
-    delta, one IPC round per wave.
+    delta, one IPC round per wave. Before shipping, every wave is
+    re-checked for conflict-freedom; a wave whose declared sets lied
+    runs inline instead.
 
     Use as a context manager, or call :meth:`close`; workers are daemonic
     either way, so leaked executors cannot outlive the parent.
@@ -392,14 +379,12 @@ class ParallelExecutor:
         *,
         wave_timeout: float = DEFAULT_WAVE_TIMEOUT,
         check_oracle: bool = True,
-        verify_waves: bool = True,
     ) -> None:
         self.registry = registry
         self.store = store
         self.workers = resolve_workers(workers)
         self.wave_timeout = wave_timeout
         self.check_oracle = check_oracle
-        self.verify_waves = verify_waves
         self.backend = "serial"
         self._procs: list[Any] = []
         self._conns: list[Any] = []
@@ -480,18 +465,6 @@ class ParallelExecutor:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- state sync ----------------------------------------------------------
-
-    def note_external_writes(
-        self, writes: dict[str, Any], version: Version
-    ) -> None:
-        """Record writes applied to the store outside this executor, so
-        worker replicas receive them with the next wave's delta."""
-        for key, value in writes.items():
-            self._unshipped.append(
-                (key, value, version.height, version.tx_index)
-            )
-
     # -- block execution -----------------------------------------------------
 
     def execute_block(self, block: Block) -> ParallelExecutionReport:
@@ -561,9 +534,7 @@ class ParallelExecutor:
         report: ParallelExecutionReport,
     ) -> list[tuple[int, RWSet]]:
         if self.pool_alive:
-            if self.verify_waves and not wave_is_conflict_free(
-                [txs[i] for i in wave]
-            ):
+            if not wave_is_conflict_free([txs[i] for i in wave]):
                 # Declared sets lied about conflict-freedom; shipping
                 # this wave to concurrent workers would be unsound.
                 EXEC_COUNTERS["wave_fallbacks"] += 1
@@ -744,123 +715,3 @@ def execute_block_parallel(
     """
     with ParallelExecutor(registry, store, workers, **kwargs) as executor:
         return executor.execute_block(block)
-
-
-# -- remote single-transaction backend (the sharding seam) ---------------------
-
-
-class RemoteContractRunner:
-    """A one-worker process pool for single contract invocations.
-
-    The ``execution_backend="process-pool"`` seam of the sharded
-    systems: the coordinator ships the transaction plus explicit entries
-    for every *declared* key (a per-transaction micro-delta — no
-    persistent worker state), and gets the captured read/write set back.
-    If the contract turns out to read keys it never declared, the result
-    is discarded and the caller re-executes inline (counted in
-    ``exec.remote_fallbacks``) — shipped state was incomplete, so the
-    remote answer cannot be trusted.
-    """
-
-    def __init__(
-        self,
-        registry: ContractRegistry,
-        *,
-        timeout: float = DEFAULT_WAVE_TIMEOUT,
-    ) -> None:
-        self.registry = registry
-        self.timeout = timeout
-        self._proc = None
-        self._conn = None
-        context = _fork_context()
-        if context is None:  # pragma: no cover - non-POSIX platforms
-            EXEC_COUNTERS["pool_failures"] += 1
-            return
-        global _FORK_REGISTRY, _FORK_SNAPSHOT
-        _FORK_REGISTRY = registry
-        _FORK_SNAPSHOT = None
-        try:
-            parent_conn, child_conn = context.Pipe()
-            proc = context.Process(
-                target=_worker_main, args=(child_conn,), daemon=True
-            )
-            proc.start()
-            child_conn.close()
-            self._proc = proc
-            self._conn = parent_conn
-        finally:
-            _FORK_REGISTRY = None
-            _FORK_SNAPSHOT = None
-
-    @property
-    def alive(self) -> bool:
-        return self._conn is not None
-
-    def _mark_broken(self) -> None:
-        EXEC_COUNTERS["pool_failures"] += 1
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        if self._proc is not None and self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join(timeout=5.0)
-        self._conn = None
-        self._proc = None
-
-    def close(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        if self._proc is not None:
-            self._proc.join(timeout=5.0)
-            if self._proc.is_alive():  # pragma: no cover - stuck worker
-                self._proc.terminate()
-        self._conn = None
-        self._proc = None
-
-    def execute(self, tx: Transaction, view: Any) -> RWSet | None:
-        """Execute ``tx`` remotely against its declared keys' entries.
-
-        Returns None when the caller must fall back to inline execution
-        (dead worker, timeout, worker-side error, or an undeclared
-        read); the runner never raises on infrastructure failure.
-        """
-        if self._conn is None:
-            EXEC_COUNTERS["remote_fallbacks"] += 1
-            return None
-        EXEC_COUNTERS["remote_txs"] += 1
-        shipped_keys = {op.key for op in tx.declared_ops}
-        entries: Delta = []
-        for key in sorted(shipped_keys):
-            entry = view.get_versioned(key)
-            entries.append(
-                (key, entry.value, entry.version.height,
-                 entry.version.tx_index)
-            )
-        task: WaveTask = (0, tx.tx_id, tx.contract, tx.args)
-        try:
-            self._conn.send(("tx", task, entries))
-            if not self._conn.poll(self.timeout):
-                self._mark_broken()
-                EXEC_COUNTERS["remote_fallbacks"] += 1
-                return None
-            reply = self._conn.recv()
-        except (BrokenPipeError, EOFError, OSError):
-            self._mark_broken()
-            EXEC_COUNTERS["remote_fallbacks"] += 1
-            return None
-        if reply[0] != "ok":
-            EXEC_COUNTERS["remote_fallbacks"] += 1
-            return None
-        row: ResultRow = reply[1]
-        if set(row[2]) - shipped_keys:
-            # The contract read keys it never declared; the worker saw
-            # them as missing, so its answer may be wrong — re-execute
-            # inline against the real view.
-            EXEC_COUNTERS["remote_fallbacks"] += 1
-            return None
-        return _row_to_rwset(row, tx.tx_id)

@@ -103,9 +103,6 @@ class CaperDag:
             if self._vertices[digest].enterprise in (enterprise, None)
         ]
 
-    def all_vertices(self) -> list[DagVertex]:
-        return [self._vertices[digest] for digest in self._order]
-
     def verify(self) -> None:
         """Audit: every parent exists and precedes its child (acyclicity)."""
         seen: set[str] = set()

@@ -44,21 +44,10 @@ class ShardedConfig:
     seed: int = 0
     arrival_rate: float | None = 1000.0
     max_time: float = 600.0
-    #: Contract-invocation backend for :meth:`ShardedSystem.execute_on_shards`:
-    #: ``"inline"`` runs contracts in-process against the union snapshot
-    #: view; ``"process-pool"`` routes them through a forked
-    #: :class:`~repro.execution.parallel_backend.RemoteContractRunner`
-    #: (falling back inline on any worker failure or undeclared read).
-    execution_backend: str = "inline"
 
     def __post_init__(self) -> None:
         if self.n_clusters < 1:
             raise ConfigError("need at least one cluster")
-        if self.execution_backend not in ("inline", "process-pool"):
-            raise ConfigError(
-                "execution_backend must be 'inline' or 'process-pool', "
-                f"got {self.execution_backend!r}"
-            )
 
 
 class ClusterPort(Node):
@@ -140,9 +129,6 @@ class ShardedSystem:
             s: KeyLockIndex() for s in self.shards
         }
         self._exec_free: dict[str, float] = {s: 0.0 for s in self.shards}
-        # Lazily-forked worker for execution_backend="process-pool";
-        # daemonic, so it can never outlive the parent process.
-        self._remote_runner = None
         self._ran = False
 
     def _wan_matrix(self) -> dict[tuple[str, str], float]:
@@ -240,36 +226,17 @@ class ShardedSystem:
 
         self.sim.schedule_at(done_at, finish)
 
-    def execute_on_shards(
-        self, tx: Transaction, shards: list[str], backend: str | None = None
-    ) -> RWSet:
+    def execute_on_shards(self, tx: Transaction, shards: list[str]) -> RWSet:
         """Run the contract against the union view of ``shards``.
 
         Each shard contributes an O(1) copy-on-write snapshot, so the
         execution reads a stable cut of every shard's state even while
-        later decisions commit into the live stores. ``backend``
-        overrides ``config.execution_backend`` per call: with
-        ``"process-pool"`` the invocation runs in a forked worker fed
-        the declared keys' entries, and silently degrades to the inline
-        path on worker failure or an undeclared read (the captured
-        read/write set is identical either way — asserted by the tests).
+        later decisions commit into the live stores.
         """
         view = _ShardUnionView(
             {s: self.stores[s].snapshot() for s in shards}, self.shard_of_key
         )
-        backend = backend or self.config.execution_backend
-        if backend == "process-pool":
-            rwset = self._execute_remote(tx, view)
-            if rwset is not None:
-                return rwset
         return execute_with_capture(self.registry, tx, view)
-
-    def _execute_remote(self, tx: Transaction, view) -> RWSet | None:
-        from repro.execution.parallel_backend import RemoteContractRunner
-
-        if self._remote_runner is None:
-            self._remote_runner = RemoteContractRunner(self.registry)
-        return self._remote_runner.execute(tx, view)
 
     def apply_writes(self, shard: str, writes: dict[str, Any]) -> None:
         """Apply the writes that belong to ``shard``."""

@@ -186,9 +186,6 @@ class Network:
         """
         self._interceptors.append(interceptor)
 
-    def remove_interceptor(self, interceptor: Interceptor) -> None:
-        self._interceptors.remove(interceptor)
-
     def _intercept(
         self,
         src: str,

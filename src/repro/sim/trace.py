@@ -100,12 +100,6 @@ class NetworkTracer:
         """Message counts by type."""
         return dict(Counter(event.message_type for event in self.events))
 
-    def bytes_by_type(self) -> dict[str, int]:
-        totals: Counter[str] = Counter()
-        for event in self.events:
-            totals[event.message_type] += event.size_bytes
-        return dict(totals)
-
     def between(self, start: float, end: float) -> list[TraceEvent]:
         """Events in the half-open virtual-time window [start, end)."""
         return [e for e in self.events if start <= e.time < end]

@@ -33,10 +33,18 @@ from repro.simtest.capsule import (
 from repro.simtest.explorer import ExplorationAxes, default_axes, explore
 from repro.simtest.fuzzer import FuzzConfig, assert_plan_holds, random_plan, run_fuzz
 from repro.simtest.plan import FaultSpec, PlanSpec
-from repro.simtest.scenarios import ScenarioResult, ScenarioSpec, run_scenario
+from repro.simtest.scenarios import (
+    FLAGS,
+    TARGETS,
+    ScenarioResult,
+    ScenarioSpec,
+    run_scenario,
+)
 from repro.simtest.shrink import shrink_plan
 
 __all__ = [
+    "FLAGS",
+    "TARGETS",
     "ExplorationAxes",
     "FaultSpec",
     "FuzzConfig",

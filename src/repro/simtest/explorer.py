@@ -44,16 +44,11 @@ def default_axes(scenario: ScenarioSpec, density: int = 3) -> ExplorationAxes:
     """A sensible bounded sweep for ``scenario``.
 
     ``density`` controls how many crash times are sampled across the
-    first few virtual seconds; victims cover every replica (minus the
-    reference orderer for system targets, whose crash only blinds the
-    observer).
+    first few virtual seconds; victims are the scenario's
+    ``crash_candidates`` (never an observation point), and the
+    partition's first half also holds its ``extra_nodes``.
     """
     replicas = list(scenario.replica_ids)
-    # Never crash the observation points: the reference orderer for
-    # system targets, the retry submitter for consensus targets.
-    victims = (
-        replicas[1:] if scenario.target == "system" else replicas[:-1]
-    )
     times = tuple(
         round(0.25 + i * (2.0 / max(1, density - 1)), 4)
         for i in range(density)
@@ -61,7 +56,8 @@ def default_axes(scenario: ScenarioSpec, density: int = 3) -> ExplorationAxes:
     half = len(replicas) // 2
     partitions = (
         None,
-        (0.5, 2.5, (tuple(replicas[:half]), tuple(replicas[half:]))),
+        (0.5, 2.5, (tuple(replicas[:half]) + scenario.extra_nodes,
+                    tuple(replicas[half:]))),
     )
     message_faults = (
         None,
@@ -70,7 +66,7 @@ def default_axes(scenario: ScenarioSpec, density: int = 3) -> ExplorationAxes:
     )
     return ExplorationAxes(
         crash_times=times,
-        victims=tuple(victims),
+        victims=scenario.crash_candidates,
         partitions=partitions,
         message_faults=message_faults,
     )

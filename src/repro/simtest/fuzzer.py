@@ -64,30 +64,20 @@ def random_plan(scenario: ScenarioSpec, rng: random.Random,
                 max_faults: int = 4, horizon: float = 4.0) -> PlanSpec:
     """Compose one within-budget fault plan from ``rng``.
 
-    Crash victims stay within the scenario's fault budget; every crash
-    may (usually does) come with a later recovery; at most one partition
-    window is scheduled and always heals; message faults are windowed
-    with bounded probability so they degrade rather than sever.
-    For system and gateway targets the reference orderer ``r0`` is never
-    crashed —
-    block delivery is observed through it, so crashing it only measures
-    the observer, not the protocols. For durable targets every storage
-    node is fair game (the never-crashing ``orderer`` is not a replica),
-    every crash gets a recovery so the WAL-replay path actually runs,
-    and partition groups fold the orderer in because
+    Crash victims are the scenario's ``crash_candidates``, within its
+    fault budget; every crash may (usually does, and with
+    ``always_recover`` always does) come with a later recovery; at most
+    one partition window is scheduled and always heals, with the
+    scenario's ``extra_nodes`` folded into the first group because
     :meth:`~repro.sim.network.Network.partition` requires every
-    registered node in exactly one group.
+    registered node in exactly one group; message faults are windowed
+    with bounded probability so they degrade rather than sever.
     """
     replicas = list(scenario.replica_ids)
     budget = scenario.fault_budget
     faults: list[FaultSpec] = []
     n_faults = rng.randint(1, max(1, max_faults))
-    if scenario.target in ("system", "gateway"):
-        crash_candidates = list(replicas[1:])  # r0 = reference orderer
-    elif scenario.target == "durable":
-        crash_candidates = list(replicas)  # orderer is outside replica_ids
-    else:
-        crash_candidates = list(replicas[:-1])  # last = retry submitter
+    crash_candidates = list(scenario.crash_candidates)
     rng.shuffle(crash_candidates)
     crashed = 0
     partitioned = False
@@ -100,7 +90,9 @@ def random_plan(scenario: ScenarioSpec, rng: random.Random,
             crashed += 1
             at = _round(rng.uniform(0.05, horizon * 0.6))
             faults.append(FaultSpec(kind="crash", time=at, node=victim))
-            if rng.random() < 0.75 or scenario.target == "durable":
+            # Draw the coin even when recovery is forced: skipping it
+            # would shift every later draw of a durable campaign.
+            if rng.random() < 0.75 or scenario.always_recover:
                 back = _round(rng.uniform(at + 0.2, horizon))
                 faults.append(
                     FaultSpec(kind="recover", time=back, node=victim)
@@ -112,12 +104,8 @@ def random_plan(scenario: ScenarioSpec, rng: random.Random,
             cut = rng.randint(1, len(replicas) - 1)
             members = list(replicas)
             rng.shuffle(members)
-            first, second = members[:cut], members[cut:]
-            if scenario.target == "durable":
-                # Every registered node must land in exactly one group;
-                # keep the block source with the (random) first group.
-                first = first + ["orderer"]
-            groups = (tuple(sorted(first)), tuple(sorted(second)))
+            first = members[:cut] + list(scenario.extra_nodes)
+            groups = (tuple(sorted(first)), tuple(sorted(members[cut:])))
             faults.append(
                 FaultSpec(kind="partition", time=start, end=end, groups=groups)
             )

@@ -71,26 +71,6 @@ class FaultSpec:
             end=_round(end) if end is not None else self.end,
         )
 
-    def describe(self) -> str:
-        if self.kind == "crash" or self.kind == "recover":
-            return f"{self.kind} {self.node} @ {self.time}"
-        if self.kind == "partition":
-            sides = " | ".join(",".join(group) for group in self.groups or ())
-            return f"partition [{self.time}, {self.end}) {sides}"
-        pred = ",".join(
-            f"{name}={value}"
-            for name, value in (
-                ("src", self.src), ("dst", self.dst), ("type", self.message_type)
-            )
-            if value is not None
-        )
-        details = f" p={self.probability}" if self.probability < 1.0 else ""
-        if self.kind == "delay" or self.kind == "reorder":
-            details += f" extra={self.extra}"
-        if self.kind == "duplicate":
-            details += f" copies={self.copies}"
-        return f"{self.kind} [{self.time}, {self.end}) {pred or '*'}{details}"
-
     def to_dict(self) -> dict[str, Any]:
         """Compact dict: defaults are omitted so capsules stay readable."""
         out: dict[str, Any] = {"kind": self.kind, "time": self.time}
@@ -199,9 +179,6 @@ class PlanSpec:
                     fault.time, fault.end, fault._predicate(), hold=fault.extra
                 )
         return plan
-
-    def describe(self) -> list[str]:
-        return [fault.describe() for fault in self.faults]
 
     def to_jsonable(self) -> list[dict[str, Any]]:
         return [fault.to_dict() for fault in self.faults]

@@ -9,13 +9,19 @@ compiles and injects the :class:`~repro.simtest.plan.PlanSpec`, drives
 the run under the registered safety monitors, and returns every
 invariant violation — which is the single predicate the explorer,
 fuzzer, and shrinker all search against.
+
+Every per-target decision lives here, in :data:`TARGETS` (which nodes a
+plan may crash, which non-replica nodes a partition must place, whether
+crashes always recover), and every behaviour flag in :data:`FLAGS`. The
+fuzzer, the explorer and the CLI read those tables instead of branching
+on a target or flag name.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.common.errors import ConfigError, ReproError
 from repro.common.types import Operation, OpType, Transaction
@@ -42,6 +48,63 @@ SPILL_FLAG_BUDGET_BYTES = 512
 
 
 @dataclass(frozen=True)
+class Flag:
+    """One behaviour flag: its CLI help and what it changes in a run.
+
+    Storage flags configure the durable target only: ``cluster`` holds
+    :class:`~repro.storage.durable.DurableCluster` keyword arguments and
+    ``disk_faults`` storage fault-profile probabilities. A flag with
+    neither toggles a kernel bug for the duration of the run.
+    """
+
+    help: str
+    cluster: Mapping[str, Any] = field(default_factory=dict)
+    disk_faults: Mapping[str, float] = field(default_factory=dict)
+
+    @property
+    def storage(self) -> bool:
+        return bool(self.cluster or self.disk_faults)
+
+
+GHOST_TIMERS = "ghost-timers"
+
+#: Every behaviour flag a scenario may carry, in the order the CLI
+#: offers them and a scenario lists them.
+FLAGS: dict[str, Flag] = {
+    GHOST_TIMERS: Flag(
+        "re-introduce the fixed ghost-timer kernel bug "
+        "(regression target for the fuzzer itself)"
+    ),
+    "torn-disk": Flag(
+        "inject partial writes and bit flips into the storage backend",
+        disk_faults={"partial_write": 0.35, "bit_flip": 0.25},
+    ),
+    "lying-disk": Flag(
+        "fsyncs may report success without persisting",
+        disk_faults={"fsync_lost": 0.3},
+    ),
+    # Recovery returns a PagedStateStore serving reads straight from
+    # blocked run files; the audit still compares its state root with
+    # the serial oracle, so paged-vs-materialized divergence surfaces.
+    "paged": Flag(
+        "recovery serves reads straight from blocked run files "
+        "(paged store) instead of materializing",
+        cluster={"paged": True},
+    ),
+    # Crash schedules then land mid-band-merge.
+    "tiered": Flag(
+        "size-tiered band compaction instead of full merges",
+        cluster={"compaction": "tiered"},
+    ),
+    # Snapshot spills fire *between* intervals and crashes land mid-spill.
+    "spill": Flag(
+        "tiny overlay byte budget forcing mid-interval snapshot spills",
+        cluster={"overlay_budget_bytes": SPILL_FLAG_BUDGET_BYTES},
+    ),
+}
+
+
+@dataclass(frozen=True)
 class ScenarioSpec:
     """A reproducible system-under-test description.
 
@@ -50,13 +113,8 @@ class ScenarioSpec:
     ``repro.core.SYSTEMS`` ordering through ``protocol``),
     ``"durable"`` (a :class:`~repro.storage.durable.DurableCluster`:
     crash-recoverable nodes with WAL + snapshot storage behind seeded
-    fault-injected backends — flags ``torn-disk`` / ``lying-disk``
-    select the storage fault profile, flag ``paged`` makes recovery
-    return the paged read path instead of a materialized store, flag
-    ``tiered`` switches the snapshot tier to size-tiered band
-    compaction, and flag ``spill`` installs a tiny overlay byte budget
-    so spills fire between snapshot intervals), or
-    ``"gateway"`` (an open-loop
+    fault-injected backends, configured by the storage flags in
+    :data:`FLAGS`), or ``"gateway"`` (an open-loop
     client population firing through the :mod:`repro.gateway` admission
     tier into ``architecture``, with client-side retries on). Consensus
     scenarios demand liveness by default — every within-budget schedule
@@ -86,15 +144,18 @@ class ScenarioSpec:
     invariants: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.target not in ("consensus", "system", "durable", "gateway"):
+        if self.target not in TARGETS:
             raise ConfigError(f"unknown scenario target {self.target!r}")
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         if (
-            self.target in ("system", "gateway")
+            TARGETS[self.target].has_architecture
             and self.architecture not in SYSTEMS
         ):
             raise ConfigError(f"unknown architecture {self.architecture!r}")
+        unknown_flags = sorted(set(self.flags) - set(FLAGS))
+        if unknown_flags:
+            raise ConfigError(f"unknown behaviour flags {unknown_flags}")
         unknown = [
             name for name in self.invariants if name not in MONITOR_REGISTRY
         ]
@@ -115,8 +176,25 @@ class ScenarioSpec:
 
     @property
     def replica_ids(self) -> tuple[str, ...]:
-        prefix = "d" if self.target == "durable" else "r"
+        prefix = TARGETS[self.target].replica_prefix
         return tuple(f"{prefix}{i}" for i in range(self.cluster_n))
+
+    @property
+    def crash_candidates(self) -> tuple[str, ...]:
+        """Replicas a plan may crash without blinding the observer, in
+        replica order."""
+        return self.replica_ids[TARGETS[self.target].crash]
+
+    @property
+    def extra_nodes(self) -> tuple[str, ...]:
+        """Registered network nodes that are not replicas: every
+        partition must still place each one in a group."""
+        return TARGETS[self.target].extra_nodes
+
+    @property
+    def always_recover(self) -> bool:
+        """Whether every crash in a generated plan gets a recovery."""
+        return TARGETS[self.target].always_recover
 
     @property
     def fault_budget(self) -> int:
@@ -136,7 +214,7 @@ class ScenarioSpec:
             "submit_span": self.submit_span,
             "require_liveness": self.require_liveness,
         }
-        if self.target in ("system", "gateway"):
+        if TARGETS[self.target].has_architecture:
             out["architecture"] = self.architecture
         if self.flags:
             out["flags"] = list(self.flags)
@@ -181,36 +259,16 @@ class ScenarioResult:
 
 
 @contextlib.contextmanager
-def _behaviour_flags(flags: tuple[str, ...]):
-    """Toggle named behaviour flags for the duration of one run."""
+def _ghost_timers(enabled: bool):
+    """Toggle the kernel's ghost-timer bug for the duration of one run."""
     import repro.sim.node as node_module
 
-    # torn-disk / lying-disk are storage fault profiles, paged the
-    # recovery mode, tiered the compaction policy, and spill a small
-    # overlay byte budget forcing mid-interval spills — all consumed by
-    # the durable target directly; they toggle nothing global.
-    known = {"ghost-timers", "torn-disk", "lying-disk", "paged", "tiered",
-             "spill"}
-    unknown = set(flags) - known
-    if unknown:
-        raise ConfigError(f"unknown behaviour flags {sorted(unknown)}")
     previous = node_module.GHOST_TIMER_BUG
-    node_module.GHOST_TIMER_BUG = "ghost-timers" in flags
+    node_module.GHOST_TIMER_BUG = enabled
     try:
         yield
     finally:
         node_module.GHOST_TIMER_BUG = previous
-
-
-def _make_monitors(scenario: ScenarioSpec):
-    if scenario.invariants:
-        return [MONITOR_REGISTRY[name]() for name in scenario.invariants]
-    if scenario.target == "durable":
-        # The standard consensus monitors assume decided logs that only
-        # grow; a durable node legitimately re-commits its WAL tail
-        # after recovery, so the dedicated invariant is the default.
-        return [MONITOR_REGISTRY["durable-recovery"]()]
-    return standard_monitors()
 
 
 def run_scenario(
@@ -223,14 +281,56 @@ def run_scenario(
     replay rely on.
     """
     plan = plan or PlanSpec()
-    with _behaviour_flags(scenario.flags):
-        if scenario.target == "consensus":
-            return _run_consensus(scenario, plan)
-        if scenario.target == "durable":
-            return _run_durable(scenario, plan)
-        if scenario.target == "gateway":
-            return _run_gateway(scenario, plan)
-        return _run_system(scenario, plan)
+    with _ghost_timers(GHOST_TIMERS in scenario.flags):
+        return TARGETS[scenario.target].run(scenario, plan)
+
+
+# -- helpers the runners share -------------------------------------------------
+
+
+def _attach(scenario: ScenarioSpec, host, plan: PlanSpec, sim, network):
+    """Attach the scenario's monitors to ``host``, then schedule ``plan``
+    on ``sim``/``network``; returns the monitors."""
+    names = scenario.invariants or TARGETS[scenario.target].invariants
+    monitors = (
+        [MONITOR_REGISTRY[name]() for name in names]
+        if names else standard_monitors()
+    )
+    for monitor in monitors:
+        host.add_monitor(monitor)
+    plan.build().apply(sim, network)
+    return monitors
+
+
+def _monitor_violations(monitors) -> list[str]:
+    """Run each monitor's end-of-run check and collect its violations."""
+    violations: list[str] = []
+    for monitor in monitors:
+        monitor.check()
+        violations.extend(monitor.violations)
+    return violations
+
+
+def _commit_audit(system) -> list[str]:
+    """Ledger linkage plus serializable commit over ``system``'s ledger."""
+    committed = system.committed_tx_ids()
+    return verify_ledger_linkage(system.ledger, committed) + (
+        verify_serializable_commit(
+            system.ledger, system.store, system.registry, committed
+        )
+    )
+
+
+def _last_fault_time(plan: PlanSpec) -> float:
+    """When the plan's last fault acts (a window's end, else its time)."""
+    return max(
+        (fault.end if fault.end is not None else fault.time
+         for fault in plan.faults),
+        default=0.0,
+    )
+
+
+# -- the four targets ----------------------------------------------------------
 
 
 def _run_consensus(scenario: ScenarioSpec, plan: PlanSpec) -> ScenarioResult:
@@ -238,17 +338,13 @@ def _run_consensus(scenario: ScenarioSpec, plan: PlanSpec) -> ScenarioResult:
     cluster = ConsensusCluster(
         cls, n=scenario.cluster_n, byzantine=byzantine, seed=scenario.seed
     )
-    monitors = _make_monitors(scenario)
-    for monitor in monitors:
-        cluster.add_monitor(monitor)
-    plan.build().apply_to_cluster(cluster)
+    _attach(scenario, cluster, plan, cluster.sim, cluster.network)
     # Submissions are staggered across the fault horizon and retried
     # PBFT-client-style (retransmit until every live correct replica
     # holds the decision) — a fire-and-forget submit can vanish into a
     # partition window through no fault of the protocol. The submitter
-    # replica is never a crash victim (see random_plan/default_axes):
-    # submitting through a crashed node measures the client, not the
-    # cluster.
+    # replica is never a crash candidate: submitting through a crashed
+    # node measures the client, not the cluster.
     submitter = scenario.replica_ids[-1]
     retry_every = 0.75
 
@@ -265,6 +361,7 @@ def _run_consensus(scenario: ScenarioSpec, plan: PlanSpec) -> ScenarioResult:
         cluster.sim.schedule_at(
             round(i * step, 6), submit_with_retry, f"{scenario.protocol}-{i}"
         )
+    # The guarded run checks the cluster's monitors itself.
     outcome = guarded_run_until_decided(
         cluster,
         scenario.txs,
@@ -306,48 +403,25 @@ def _run_durable(scenario: ScenarioSpec, plan: PlanSpec) -> ScenarioResult:
     from repro.storage.durable import DurableCluster
 
     profile: dict[str, float] = {}
-    if "torn-disk" in scenario.flags:
-        profile.update(partial_write=0.35, bit_flip=0.25)
-    if "lying-disk" in scenario.flags:
-        profile.update(fsync_lost=0.3)
+    options: dict[str, Any] = {}
+    for name in scenario.flags:
+        profile.update(FLAGS[name].disk_faults)
+        options.update(FLAGS[name].cluster)
     cluster = DurableCluster(
         n=scenario.cluster_n,
         txs=max(4, scenario.txs),
         seed=scenario.seed,
         fault_profile=profile or None,
-        # flag "paged": recovery returns a PagedStateStore serving reads
-        # straight from blocked run files; the audit still compares its
-        # state root against the serial oracle, so paged-vs-materialized
-        # divergence surfaces as a violation.
-        paged="paged" in scenario.flags,
-        # flag "tiered": size-tiered band compaction instead of the
-        # full-merge trigger — crash schedules then land mid-band-merge.
-        compaction="tiered" if "tiered" in scenario.flags else "full",
-        # flag "spill": a deliberately tiny overlay budget so snapshot
-        # spills fire *between* intervals and crashes land mid-spill.
-        overlay_budget_bytes=(
-            SPILL_FLAG_BUDGET_BYTES if "spill" in scenario.flags else 0
-        ),
+        **options,
     )
-    monitors = _make_monitors(scenario)
-    for monitor in monitors:
-        cluster.add_monitor(monitor)
-    plan.build().apply(cluster.sim, cluster.network)
+    monitors = _attach(scenario, cluster, plan, cluster.sim, cluster.network)
     # The run must outlive the last scheduled fault: caught_up() ignores
     # crashed nodes, so stopping early would skip the very recovery the
     # plan injects.
-    last_fault = max(
-        (fault.end if fault.end is not None else fault.time
-         for fault in plan.faults),
-        default=0.0,
-    )
     decided = cluster.run(
-        timeout=scenario.timeout, min_time=last_fault + 1e-6
+        timeout=scenario.timeout, min_time=_last_fault_time(plan) + 1e-6
     )
-    violations: list[str] = []
-    for monitor in monitors:
-        monitor.check()
-        violations.extend(monitor.violations)
+    violations = _monitor_violations(monitors)
     if decided:
         violations.extend(cluster.durable_audit())
     elif scenario.require_liveness:
@@ -399,8 +473,7 @@ def _make_workload(scenario: ScenarioSpec) -> list[Transaction]:
 
 
 def _run_system(scenario: ScenarioSpec, plan: PlanSpec) -> ScenarioResult:
-    system_cls = SYSTEMS[scenario.architecture]
-    system = system_cls(
+    system = SYSTEMS[scenario.architecture](
         SystemConfig(
             orderers=scenario.cluster_n,
             protocol=scenario.protocol,
@@ -409,27 +482,15 @@ def _run_system(scenario: ScenarioSpec, plan: PlanSpec) -> ScenarioResult:
             max_time=scenario.timeout,
         )
     )
-    monitors = _make_monitors(scenario)
-    for monitor in monitors:
-        system.cluster.add_monitor(monitor)
-    plan.build().apply(system.sim, system.cluster.network)
+    monitors = _attach(
+        scenario, system.cluster, plan, system.sim, system.cluster.network
+    )
     for tx in _make_workload(scenario):
         system.submit(tx)
     result = system.run()
-    violations: list[str] = []
-    for monitor in monitors:
-        monitor.check()
-        violations.extend(monitor.violations)
-    committed = system.committed_tx_ids()
-    violations.extend(verify_ledger_linkage(system.ledger, committed))
-    violations.extend(
-        verify_serializable_commit(
-            system.ledger, system.store, system.registry, committed
-        )
-    )
     return ScenarioResult(
         decided=True,
-        violations=violations,
+        violations=_monitor_violations(monitors) + _commit_audit(system),
         committed=result.committed,
         aborted=result.aborted,
     )
@@ -450,14 +511,11 @@ def _run_gateway(scenario: ScenarioSpec, plan: PlanSpec) -> ScenarioResult:
     from repro.gateway import GatewayConfig, GatewayRun
     from repro.workloads.openloop import OpenLoopConfig, OpenLoopWorkload, Phase
 
-    last_fault = max(
-        (fault.end if fault.end is not None else fault.time
-         for fault in plan.faults),
-        default=0.0,
-    )
     # Traffic must outlive the last fault window so shedding and retry
     # paths actually run under the injected chaos.
-    duration = max(2.0, min(last_fault + 1.0, scenario.timeout / 2.0))
+    duration = max(
+        2.0, min(_last_fault_time(plan) + 1.0, scenario.timeout / 2.0)
+    )
     rate = max(50.0, scenario.txs * 12.5)
     workload = OpenLoopWorkload(OpenLoopConfig(
         clients=64,
@@ -490,25 +548,12 @@ def _run_gateway(scenario: ScenarioSpec, plan: PlanSpec) -> ScenarioResult:
             max_time=scenario.timeout,
         ),
     )
-    monitors = _make_monitors(scenario)
-    for monitor in monitors:
-        run.system.cluster.add_monitor(monitor)
-    plan.build().apply(run.system.sim, run.system.cluster.network)
-    report = run.run()
-    violations: list[str] = []
-    for monitor in monitors:
-        monitor.check()
-        violations.extend(monitor.violations)
-    committed = run.system.committed_tx_ids()
-    violations.extend(verify_ledger_linkage(run.system.ledger, committed))
-    violations.extend(
-        verify_serializable_commit(
-            run.system.ledger,
-            run.system.store,
-            run.system.registry,
-            committed,
-        )
+    system = run.system
+    monitors = _attach(
+        scenario, system.cluster, plan, system.sim, system.cluster.network
     )
+    report = run.run()
+    violations = _monitor_violations(monitors) + _commit_audit(system)
     latency = report.latency
     stuck = sorted(t.tx_id for t in run.ledger if not t.terminal)
     if stuck:
@@ -554,6 +599,45 @@ def _run_gateway(scenario: ScenarioSpec, plan: PlanSpec) -> ScenarioResult:
         committed=latency.committed,
         aborted=latency.aborted,
     )
+
+
+@dataclass(frozen=True)
+class Target:
+    """Everything that differs between DST targets."""
+
+    run: Callable[[ScenarioSpec, PlanSpec], ScenarioResult]
+    #: Slice of ``replica_ids`` a plan may crash: never the node the
+    #: run observes or submits through.
+    crash: slice
+    replica_prefix: str = "r"
+    #: Registered network nodes that are not replicas.
+    extra_nodes: tuple[str, ...] = ()
+    #: Generated plans recover every crash, so recovery paths run.
+    always_recover: bool = False
+    #: ``architecture`` selects the system under test.
+    has_architecture: bool = False
+    #: Default monitors; empty means the standard registered set.
+    invariants: tuple[str, ...] = ()
+
+
+#: The DST targets, in CLI order.
+TARGETS: dict[str, Target] = {
+    # The last replica is the retry submitter.
+    "consensus": Target(_run_consensus, crash=slice(None, -1)),
+    # r0 is the reference orderer block delivery is observed through.
+    "system": Target(_run_system, crash=slice(1, None),
+                     has_architecture=True),
+    # Every storage node is fair game; the block source is the
+    # never-crashing "orderer", registered on the network but no
+    # replica. The standard consensus monitors assume decided logs
+    # that only grow, while a durable node legitimately re-commits its
+    # WAL tail after recovery, so the dedicated invariant is the default.
+    "durable": Target(_run_durable, crash=slice(None), replica_prefix="d",
+                      extra_nodes=("orderer",), always_recover=True,
+                      invariants=("durable-recovery",)),
+    "gateway": Target(_run_gateway, crash=slice(1, None),
+                      has_architecture=True),
+}
 
 
 def violates(scenario: ScenarioSpec, plan: PlanSpec) -> bool:

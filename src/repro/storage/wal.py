@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 from repro.common.errors import StorageError
 from repro.ledger.store import STORE_COUNTERS
-from repro.storage.backend import STORAGE_COUNTERS
 
 _MAGIC = b"WALR"
 _HEADER = struct.Struct(">4sII")
@@ -162,13 +161,3 @@ class BlockLog:
         self.segment_id += 1
         self._unsynced = 0
         return finished
-
-    def replay_segment(self, name: str) -> ReplayResult:
-        """Replay one segment by name; missing files replay empty (a
-        segment rolled but never written to is simply absent)."""
-        if not self.backend.exists(name):
-            return ReplayResult([], torn=False, valid_bytes=0)
-        result = replay_records(self.backend.read(name))
-        if result.torn:
-            STORAGE_COUNTERS["torn_detected"] += 1
-        return result

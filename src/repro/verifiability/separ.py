@@ -99,9 +99,6 @@ class TokenAuthority:
             ))
         return tokens
 
-    def issued_to(self, worker: str, week: int) -> int:
-        return self._issued.get((worker, week), 0)
-
 
 @dataclass(frozen=True)
 class TokenizedClaim:

@@ -80,9 +80,6 @@ class CrowdworkWorkload:
     def worker_ids(self) -> list[str]:
         return [f"w{i}" for i in range(self.workers)]
 
-    def is_multi_platform(self, worker: str) -> bool:
-        return worker in self._multi
-
     def next_claim(self, week: int = 0) -> WorkClaim:
         worker = f"w{self._rng.randrange(self.workers)}"
         if worker in self._multi:

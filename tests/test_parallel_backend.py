@@ -242,7 +242,7 @@ class TestIpcPayloads:
         delta = pickle.loads(
             pickle.dumps([("a", 5, 2, 1), ("b", None, 2, 2)])
         )
-        view = ReplicaStateView()
+        view = ReplicaStateView(StateStore().snapshot())
         view.apply_delta(delta)
         assert view.get_versioned("a") == VersionedValue(5, Version(2, 1))
         assert view.get("b", "missing") == "missing"
@@ -384,37 +384,3 @@ class TestDegradation:
                 registry, 2,
             )
         assert EXEC_COUNTERS["oracle_mismatches"] == 1
-
-
-class TestShardedBackendSwitch:
-    def test_process_pool_rows_match_inline(self):
-        from repro.sharding import ShardedConfig, SharPerSystem
-
-        def run(backend):
-            workload = SmallBankWorkload(
-                n_customers=24, n_shards=2, cross_shard_fraction=0.3,
-                seed=61,
-            )
-
-            def shard_of_key(key):
-                return workload.shard_of(key.split(":")[1])
-
-            system = SharPerSystem(
-                smallbank_registry(), shard_of_key,
-                ShardedConfig(
-                    n_clusters=2, seed=61, execution_backend=backend,
-                ),
-            )
-            for tx in workload.setup_transactions():
-                system.submit(tx)
-            for tx in workload.generate(60):
-                system.submit(tx)
-            return system.run().to_row()
-
-        assert run("inline") == run("process-pool")
-
-    def test_invalid_backend_rejected(self):
-        from repro.sharding import ShardedConfig
-
-        with pytest.raises(ConfigError, match="execution_backend"):
-            ShardedConfig(n_clusters=2, execution_backend="gpu")

@@ -172,7 +172,125 @@ class TestDeterminism:
         assert report.violations == 0
 
 
+#: One scenario per DST target, at the sizes the CLI defaults to.
+TARGET_SCENARIOS = (
+    ScenarioSpec(target="consensus", protocol="pbft"),
+    ScenarioSpec(target="consensus", protocol="raft", n=5),
+    ScenarioSpec(target="system", architecture="xov"),
+    ScenarioSpec(target="durable"),
+    ScenarioSpec(target="gateway", architecture="ox"),
+)
+
+
+def registered_nodes(scenario):
+    """Every node id the target's world registers on its network, built
+    directly rather than through the scenario tables under test."""
+    from repro.consensus import PROTOCOLS, ConsensusCluster
+    from repro.core import SYSTEMS, SystemConfig
+    from repro.gateway import GatewayRun
+    from repro.storage.durable import DurableCluster
+    from repro.workloads.openloop import OpenLoopConfig, OpenLoopWorkload, Phase
+
+    n = scenario.cluster_n
+    if scenario.target == "consensus":
+        cls, byzantine = PROTOCOLS[scenario.protocol]
+        network = ConsensusCluster(cls, n=n, byzantine=byzantine).network
+    elif scenario.target == "durable":
+        network = DurableCluster(n=n, txs=4).network
+    else:
+        config = SystemConfig(orderers=n, protocol=scenario.protocol)
+        if scenario.target == "system":
+            system = SYSTEMS[scenario.architecture](config)
+        else:
+            workload = OpenLoopWorkload(OpenLoopConfig(
+                clients=4, phases=(Phase("steady", 0.1, 10.0),),
+            ))
+            system = GatewayRun(
+                scenario.architecture, workload, system_config=config
+            ).system
+        network = system.cluster.network
+    return set(network.node_ids)
+
+
+def assert_plan_fits_world(scenario, plan, nodes):
+    for fault in plan.faults:
+        if fault.kind in ("crash", "recover"):
+            assert fault.node in scenario.crash_candidates, fault
+        if fault.kind == "partition":
+            members = [node for group in fault.groups for node in group]
+            assert len(members) == len(set(members)), fault
+            assert set(members) == nodes, (scenario.target, fault)
+
+
+class TestTargetTables:
+    def test_crash_candidates_spare_each_observer(self):
+        consensus, _, system, durable, gateway = TARGET_SCENARIOS
+        assert consensus.crash_candidates == ("r0", "r1", "r2")
+        assert system.crash_candidates == ("r1", "r2", "r3")
+        assert gateway.crash_candidates == ("r1", "r2", "r3")
+        assert durable.crash_candidates == ("d0", "d1", "d2", "d3")
+        assert durable.extra_nodes == ("orderer",)
+        assert durable.always_recover and not system.always_recover
+
+    @pytest.mark.parametrize("scenario", TARGET_SCENARIOS, ids=[
+        "consensus-pbft", "consensus-raft-n5", "system-xov", "durable",
+        "gateway-ox",
+    ])
+    def test_generated_plans_fit_the_registered_world(self, scenario):
+        import random
+
+        nodes = registered_nodes(scenario)
+        assert set(scenario.replica_ids) | set(scenario.extra_nodes) == nodes
+        for plan_seed in range(60):
+            plan = random_plan(
+                scenario, random.Random(plan_seed), max_faults=6
+            )
+            assert_plan_fits_world(scenario, plan, nodes)
+        for plan in enumerate_plans(default_axes(scenario)):
+            assert_plan_fits_world(scenario, plan, nodes)
+
+    def test_durable_plans_always_recover(self):
+        import random
+
+        scenario = ScenarioSpec(target="durable")
+        for plan_seed in range(40):
+            plan = random_plan(scenario, random.Random(plan_seed))
+            crashed = {f.node for f in plan.faults if f.kind == "crash"}
+            recovered = {f.node for f in plan.faults if f.kind == "recover"}
+            assert crashed == recovered
+
+    def test_unknown_flag_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="behaviour flags"):
+            ScenarioSpec(flags=("meteor",))
+
+    def test_cli_offers_exactly_the_flag_table(self):
+        from repro.cli import build_parser
+        from repro.simtest import FLAGS
+
+        parser = build_parser()
+        fuzz = parser.parse_args(
+            ["fuzz"] + [f"--{name}" for name in FLAGS]
+        )
+        assert all(getattr(fuzz, n.replace("-", "_")) for n in FLAGS)
+        storage = [name for name, flag in FLAGS.items() if flag.storage]
+        recover = parser.parse_args(
+            ["recover"] + [f"--{name}" for name in storage]
+        )
+        assert all(getattr(recover, n.replace("-", "_")) for n in storage)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["recover", "--ghost-timers"])
+
+
 class TestCli:
+    def test_explore_durable_target_runs_clean(self, capsys):
+        # Explorer partitions once omitted the durable orderer and
+        # crashed with a ConfigError before the first plan ran.
+        assert main(
+            ["explore", "--target", "durable", "--budget", "12"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["plans"] == 12
+
     def test_fuzz_command_is_byte_identical(self, capsys):
         argv = ["fuzz", "--protocol", "raft", "--runs", "5", "--seed", "7"]
         assert main(argv) == 0
