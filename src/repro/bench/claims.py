@@ -61,8 +61,8 @@ from repro.ledger.block import GENESIS_PREV_HASH, Block
 from repro.ledger.chain import Blockchain
 from repro.ledger.store import STORE_COUNTERS, StateStore, Version, reset_store_counters
 from repro.sharding import (
-    AhlSystem, ResilientDbSystem, SaguaroConfig, SaguaroSystem, ShardedConfig,
-    SharPerSystem, committee_failure_probability, min_committee_size,
+    SYSTEMS as SHARDED_SYSTEMS, SaguaroConfig, ShardedConfig,
+    committee_failure_probability, min_committee_size,
 )
 from repro.sim.core import Simulation
 from repro.simtest import FuzzConfig, ScenarioSpec, run_fuzz
@@ -330,6 +330,7 @@ def _e3a(size, protocol) -> Row:
     for i in range(_DECISIONS):
         cluster.submit(f"{protocol}-{n}-{i}")
     return {
+        "n": n, "fault_model": "byzantine" if byzantine else "crash",
         "decided": cluster.run_until_decided(_DECISIONS, timeout=120),
         "agreement": cluster.agreement_holds(),
         "quorum": cluster.config.quorum,
@@ -456,10 +457,6 @@ def _e5b(system) -> Row:
             "trusted_authority": authority}
 
 
-_SHARDED = {"sharper": SharPerSystem, "ahl": AhlSystem,
-            "saguaro": SaguaroSystem, "resilientdb": ResilientDbSystem}
-
-
 def _sharded(system, workload, txs, **config) -> Row:
     """SmallBank ``workload`` over one sharded design, a cluster per
     shard."""
@@ -468,11 +465,12 @@ def _sharded(system, workload, txs, **config) -> Row:
 
     config_cls = SaguaroConfig if system == "saguaro" else ShardedConfig
     result = _run(
-        _SHARDED[system](smallbank_registry(), shard_of_key,
-                         config_cls(n_clusters=workload.n_shards, **config)),
+        SHARDED_SYSTEMS[system](smallbank_registry(), shard_of_key,
+                                config_cls(n_clusters=workload.n_shards, **config)),
         workload.setup_transactions() + workload.generate(txs),
     )
-    return {"throughput_tps": round(result.throughput, 1),
+    return {"committed": result.committed,
+            "throughput_tps": round(result.throughput, 1),
             "intra_latency": round(result.extra["intra_mean_latency"], 4),
             "cross_latency": round(result.extra["cross_mean_latency"], 4)}
 
@@ -791,6 +789,7 @@ def _e20(workers) -> Row:
     with ParallelExecutor(standard_registry(), StateStore(), workers) as executor:
         report = executor.execute_block(block)
     return {"makespan_s": round(report.modelled_parallel_seconds, 4),
+            "waves": report.n_waves, "committed": report.committed,
             "digest": report.state_digest, "backend": report.backend,
             "oracle_matches": report.oracle_matches,
             "fallback_waves": report.fallback_waves}
@@ -837,10 +836,7 @@ def _e22(system, offered) -> Row:
         system_config=SystemConfig(block_size=50, seed=11,
                                    max_time=workload.config.duration + 60.0),
     ).run()
-    row = report.to_row()
-    return {key: row[key] for key in (
-        "arrivals", "committed", "aborted", "shed", "timeouts", "goodput_tps",
-        "p50_latency", "p99_latency")}
+    return report.to_row()
 
 
 def _run_set(backend, keys: int, seed: int) -> list[dict]:
@@ -1109,7 +1105,7 @@ CLAIMS: tuple[Claim, ...] = (
         'single-ledger ResilientDB replicates "the entire data on every '
         "cluster. However, exchanging messages between all clusters for "
         'every single transaction still results in high latency"',
-        Sweep(grid(clusters=(2, 4, 8), system=tuple(_SHARDED)),
+        Sweep(grid(clusters=(2, 4, 8), system=tuple(SHARDED_SYSTEMS)),
               lambda clusters, system: _saturated(system, clusters, 0.1, 61)),
         (
             versus("SharPer scales from 2 to 8 clusters", "throughput_tps",

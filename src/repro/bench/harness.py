@@ -1,27 +1,25 @@
-"""Experiment harness: run a system over a workload, collect one row.
+"""Experiment harness: run a system over a workload, sweep a grid.
 
-Benchmarks are parameter sweeps; this module holds the shared glue so
-each benchmark file is mostly its parameter grid (DESIGN.md experiment
-index maps experiments to these helpers).
+:func:`sweep` is the one sweep path; the claims registry
+(:mod:`repro.bench.claims`) drives every paper claim through it.
 
-Sweeps run serially by default. Setting ``REPRO_BENCH_WORKERS`` (or
-calling :func:`sweep_parallel` / :func:`compare_systems_parallel`
-directly) fans the grid points out over ``multiprocessing`` workers.
-Every point builds its own seeded workload/config inside the worker —
-the per-point seeds are explicit in each benchmark's runner — so the
-parallel path returns rows identical to, and in the same order as, the
-serial path.
+Sweeps run serially by default. Setting ``REPRO_BENCH_WORKERS`` above 1
+fans the grid points out over ``multiprocessing`` workers; a value that
+is not a positive integer raises :class:`~repro.common.errors.ConfigError`
+(:func:`repro.execution.resolve_workers` parses it, for the harness and
+the process-pool backend alike). Every point builds its own seeded
+workload/config inside the worker, so the parallel path returns rows
+identical to, and in the same order as, the serial path.
 
-Workers are forked, not spawned: benchmark runners are typically
-closures (lambdas over a seed), which cannot be pickled, but a forked
-child inherits them. On platforms without ``fork`` the harness falls
-back to serial execution rather than failing.
+Workers are forked, not spawned: runners are typically closures
+(lambdas over a seed), which cannot be pickled, but a forked child
+inherits them. On platforms without ``fork`` the harness falls back to
+serial execution rather than failing.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -31,26 +29,13 @@ from repro.common.metrics import RunResult
 from repro.common.types import Transaction
 from repro.core import SYSTEMS, BlockchainSystem, SystemConfig
 from repro.execution.contracts import ContractRegistry
-
-#: Environment variable that opts benchmark sweeps into parallel
-#: execution (values <= 1, unset, or non-numeric mean serial).
-WORKERS_ENV = "REPRO_BENCH_WORKERS"
+from repro.execution.parallel_backend import WORKERS_ENV, resolve_workers
 
 # The job a forked worker should run. Set in the parent immediately
 # before the pool forks, inherited by the children, and cleared after
 # the sweep; module-level so the worker entry point is picklable by
 # name while the job itself never needs pickling.
 _ACTIVE_JOB: Callable[[Any], Any] | None = None
-
-
-def env_workers() -> int:
-    """Worker count requested via :data:`WORKERS_ENV` (0 = serial)."""
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        workers = int(raw)
-    except ValueError:
-        return 0
-    return workers if workers > 1 else 0
 
 
 def _fork_context() -> multiprocessing.context.BaseContext | None:
@@ -128,122 +113,26 @@ def run_architecture(
     return system.run()
 
 
-def _sweep_rows(
-    variable: str,
-    values: list[Any],
-    results: list[RunResult],
-    extra_fields: Callable[[RunResult], dict[str, Any]] | None,
-) -> list[dict[str, Any]]:
-    rows = []
-    for value, result in zip(values, results):
-        row: dict[str, Any] = {variable: value}
-        # Runners usually return a RunResult; fault/resilience sweeps
-        # return ready-made dict rows (no single-system RunResult fits).
-        row.update(result.to_row() if hasattr(result, "to_row") else result)
-        if extra_fields is not None:
-            row.update(extra_fields(result))
-        rows.append(row)
-    return rows
-
-
 def sweep(
     variable: str,
     values: list[Any],
-    runner: Callable[[Any], RunResult],
-    extra_fields: Callable[[RunResult], dict[str, Any]] | None = None,
+    runner: Callable[[Any], RunResult | dict[str, Any]],
 ) -> list[dict[str, Any]]:
     """Run ``runner`` per value; rows carry the swept variable first.
 
-    Serial unless :data:`WORKERS_ENV` asks for workers, in which case
-    the call is equivalent to :func:`sweep_parallel`.
+    ``runner`` returns a :class:`RunResult` or a ready-made dict row.
+    Serial unless ``REPRO_BENCH_WORKERS`` asks for more than one worker,
+    in which case the points fan out over forked processes with rows
+    identical to, and in the same order as, the serial path.
     """
-    workers = env_workers()
-    if workers:
-        return sweep_parallel(
-            variable, values, runner, extra_fields, workers=workers
-        )
-    results = [runner(value) for value in values]
-    return _sweep_rows(variable, values, results, extra_fields)
-
-
-def sweep_parallel(
-    variable: str,
-    values: list[Any],
-    runner: Callable[[Any], RunResult],
-    extra_fields: Callable[[RunResult], dict[str, Any]] | None = None,
-    workers: int | None = None,
-) -> list[dict[str, Any]]:
-    """:func:`sweep`, with grid points fanned out over worker processes.
-
-    Rows are identical to the serial path, in the same order; the
-    ``extra_fields`` hook runs in the parent. ``workers`` defaults to
-    :data:`WORKERS_ENV`, then the CPU count.
-    """
-    workers = workers or env_workers() or os.cpu_count() or 1
+    workers = resolve_workers()
     results = None
     if workers > 1 and len(values) > 1:
         results = _map_parallel(runner, list(values), workers)
     if results is None:
         results = [runner(value) for value in values]
-    return _sweep_rows(variable, values, results, extra_fields)
-
-
-def _compare_one(
-    name: str,
-    make_workload: Callable[[], list[Transaction]],
-    make_config: Callable[[], SystemConfig],
-    registry_factory: Callable[[], ContractRegistry] | None,
-) -> RunResult:
-    registry = registry_factory() if registry_factory else None
-    return run_architecture(name, make_workload(), make_config(), registry)
-
-
-def compare_systems(
-    names: list[str],
-    make_workload: Callable[[], list[Transaction]],
-    make_config: Callable[[], SystemConfig],
-    registry_factory: Callable[[], ContractRegistry] | None = None,
-) -> list[dict[str, Any]]:
-    """One row per architecture, identical workload and configuration.
-
-    Serial unless :data:`WORKERS_ENV` asks for workers.
-    """
-    workers = env_workers()
-    if workers:
-        return compare_systems_parallel(
-            names, make_workload, make_config, registry_factory,
-            workers=workers,
-        )
     return [
-        _compare_one(
-            name, make_workload, make_config, registry_factory
-        ).to_row()
-        for name in names
+        {variable: value,
+         **(result.to_row() if hasattr(result, "to_row") else result)}
+        for value, result in zip(values, results)
     ]
-
-
-def compare_systems_parallel(
-    names: list[str],
-    make_workload: Callable[[], list[Transaction]],
-    make_config: Callable[[], SystemConfig],
-    registry_factory: Callable[[], ContractRegistry] | None = None,
-    workers: int | None = None,
-) -> list[dict[str, Any]]:
-    """:func:`compare_systems` with one worker process per architecture.
-
-    Each worker builds its own workload from the seeded factories, so
-    rows match the serial path exactly and keep the ``names`` order.
-    """
-    workers = workers or env_workers() or os.cpu_count() or 1
-
-    def job(name: str) -> RunResult:
-        # Reaches the workers through fork inheritance (via
-        # ``_ACTIVE_JOB``), so the factories are never pickled.
-        return _compare_one(name, make_workload, make_config, registry_factory)
-
-    results = None
-    if workers > 1 and len(names) > 1:
-        results = _map_parallel(job, list(names), workers)
-    if results is None:
-        results = [job(name) for name in names]
-    return [result.to_row() for result in results]

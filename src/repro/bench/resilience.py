@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.bench.harness import sweep, sweep_parallel
 from repro.common.errors import ConfigError
 from repro.consensus import PROTOCOLS, ConsensusCluster
 from repro.consensus.monitors import (
@@ -220,15 +219,3 @@ def run_case(case: str) -> dict[str, Any]:
         "messages": cluster.message_count(),
     }
 
-
-def sweep_resilience(
-    cases: Iterable[str] | None = None, workers: int | None = None
-) -> list[dict[str, Any]]:
-    """Run the case grid through the PR-1 harness (serial or parallel).
-
-    Rows are identical and identically ordered either way.
-    """
-    cases = list(cases) if cases is not None else resilience_cases()
-    if workers and workers > 1:
-        return sweep_parallel("case", cases, run_case, workers=workers)
-    return sweep("case", cases, run_case)

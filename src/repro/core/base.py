@@ -217,7 +217,9 @@ class BlockchainSystem:
     def _on_decide(self, node_id: str, sequence: int, value: Any) -> None:
         if node_id != self._reference_orderer:
             return
-        batch = self._payload_of.get(tuple(value))
+        # Pop, not get: a payload decided twice is applied once, and the
+        # map holds only batches still in flight.
+        batch = self._payload_of.pop(tuple(value), None)
         if batch is None:
             return
         self._on_block_decided([self._tx_by_id[tx_id] for tx_id in batch])

@@ -40,11 +40,11 @@ propagate it); a worker that times out or dies takes the pool down and
 every remaining wave runs inline, counted in
 ``hotpath_counters()["exec.wave_fallbacks"]``.
 
-Worker count resolution honors ``REPRO_BENCH_WORKERS`` (the same knob as
-``repro.bench.harness``) but — unlike the sweep harness, which quietly
-falls back to serial — rejects invalid values (0, negative, non-integer)
-with a :class:`~repro.common.errors.ConfigError` instead of a pool
-crash, because here the value sizes a real process pool.
+Worker count resolution (:func:`resolve_workers`) honors
+``REPRO_BENCH_WORKERS`` and rejects invalid values (0, negative,
+non-integer) with a :class:`~repro.common.errors.ConfigError` instead of
+a pool crash. It is the one parser of that knob: the sweep harness
+(``repro.bench.harness.sweep``) calls it too.
 """
 
 from __future__ import annotations
@@ -74,9 +74,8 @@ from repro.ledger.store import (
     VersionedValue,
 )
 
-#: Same environment knob as ``repro.bench.harness.WORKERS_ENV`` (not
-#: imported from there: the harness imports ``repro.core``, which imports
-#: this package — a literal avoids the cycle).
+#: Environment variable sizing both the process pool and the benchmark
+#: sweep harness, which reads it through :func:`resolve_workers`.
 WORKERS_ENV = "REPRO_BENCH_WORKERS"
 
 #: Seconds the coordinator waits for a wave reply before declaring the
@@ -327,11 +326,6 @@ class ParallelExecutionReport:
     #: Digest over the block's net committed effects (key, value,
     #: version) — equal digests mean byte-identical state transitions.
     state_digest: str = ""
-
-    @property
-    def wall_tps(self) -> float:
-        done = self.committed + self.failed
-        return done / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
 
 def block_effects_digest(rwsets: Sequence[RWSet], height: int) -> str:

@@ -25,7 +25,17 @@ from repro.sharding.resilientdb import ResilientDbSystem
 from repro.sharding.saguaro import SaguaroConfig, SaguaroSystem
 from repro.sharding.sharper import SharPerSystem
 
+#: The four sharded designs by name, like ``repro.core.SYSTEMS``; the
+#: order is what ``python -m repro list`` prints and the E6a claim sweeps.
+SYSTEMS = {
+    "sharper": SharPerSystem,
+    "ahl": AhlSystem,
+    "saguaro": SaguaroSystem,
+    "resilientdb": ResilientDbSystem,
+}
+
 __all__ = [
+    "SYSTEMS",
     "AhlSystem",
     "ClusterPort",
     "ResilientDbSystem",

@@ -7,7 +7,8 @@ atomically swapped manifest (:mod:`repro.storage.snapshots`) — over a
 narrow backend API (:mod:`repro.storage.backend`) with a deterministic
 in-memory implementation whose seeded fault profiles model torn writes,
 lying fsyncs, and bit flips. :mod:`repro.storage.durable` wires it into
-the chaos engine as crash-recoverable simulated nodes.
+the chaos engine as crash-recoverable simulated nodes, and
+:mod:`repro.storage.drill` crash-restarts nodes on real files.
 """
 
 from repro.storage.backend import (
@@ -33,6 +34,7 @@ from repro.storage.durable import (
     release_data_dir,
     resolve_data_dir,
 )
+from repro.storage.drill import restart_drill
 from repro.storage.paged import (
     DEFAULT_CACHE_BYTES,
     BlockCache,
@@ -97,6 +99,7 @@ __all__ = [
     "replay_records",
     "reset_storage_counters",
     "resolve_data_dir",
+    "restart_drill",
     "scan_layers",
     "segment_name",
     "state_root",

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.bench import (
-    compare_systems,
-    format_table,
-    profiled,
-    run_architecture,
-    sweep,
-    top_hotspots,
-)
+from repro.bench import format_table, run_architecture, sweep
 from repro.bench.reporting import to_markdown
 from repro.common.errors import ConfigError
 from repro.core import SystemConfig
@@ -41,51 +34,18 @@ class TestHarness:
         assert all("throughput_tps" in row for row in rows)
 
     def test_sweep_extra_fields(self):
-        rows = sweep(
-            "x",
-            [1],
-            lambda _x: run_architecture(
+        # A runner adds fields by returning a dict row instead of a
+        # RunResult; the swept variable still comes first.
+        def runner(_x):
+            result = run_architecture(
                 "ox", KvWorkload(seed=3).generate(10),
                 SystemConfig(block_size=10, seed=3),
-            ),
-            extra_fields=lambda result: {"double": result.committed * 2},
-        )
-        assert rows[0]["double"] == 20
-
-    def test_compare_systems_one_row_each(self):
-        rows = compare_systems(
-            ["ox", "oxii"],
-            make_workload=lambda: KvWorkload(seed=4).generate(20),
-            make_config=lambda: SystemConfig(block_size=10, seed=4),
-        )
-        assert [row["system"] for row in rows] == ["ox", "oxii"]
-
-
-class TestProfiling:
-    def test_profiled_prints_hotspots(self):
-        import io
-
-        out = io.StringIO()
-        with profiled(top=5, stream=out) as profiler:
-            run_architecture(
-                "ox",
-                KvWorkload(seed=9).generate(20),
-                SystemConfig(block_size=10, seed=9),
             )
-        report = out.getvalue()
-        assert "cumulative" in report
-        assert "function calls" in report
-        rows = top_hotspots(profiler, n=3)
-        assert len(rows) == 3
-        assert all(
-            {"function", "calls", "tottime", "cumtime"} <= set(row)
-            for row in rows
-        )
+            return {**result.to_row(), "double": result.committed * 2}
 
-    def test_profiled_disabled_is_noop(self):
-        with profiled(enabled=False) as profiler:
-            pass
-        assert profiler is None
+        rows = sweep("x", [1], runner)
+        assert rows[0]["double"] == 20
+        assert next(iter(rows[0])) == "x"
 
 
 class TestReporting:

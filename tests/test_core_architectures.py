@@ -203,3 +203,26 @@ class TestOrderingProtocolChoices:
             system.submit(tx)
         result = system.run()
         assert result.committed == 7
+
+
+class TestDecidedPayloads:
+    def test_a_payload_decided_twice_is_applied_once(self):
+        system = SYSTEMS["ox"](SystemConfig(seed=4))
+        applied = []
+        system._on_block_decided = applied.append
+        txs = uniform_workload(n=3)
+        for tx in txs:
+            system.submit(tx)
+        system._order_queue = [tx.tx_id for tx in txs]
+        system._cut_block()
+        payload = tuple(tx.tx_id for tx in txs)
+        for sequence in (1, 2):  # the orderer delivers the batch twice
+            system._on_decide(system._reference_orderer, sequence, payload)
+        assert applied == [txs]
+        assert system._payload_of == {}
+
+    @pytest.mark.parametrize("name", ALL_SYSTEMS)
+    def test_drained_run_holds_no_payloads(self, name):
+        system, result = run(name, uniform_workload(n=60))
+        assert result.committed + result.aborted == 60
+        assert system._payload_of == {}

@@ -280,6 +280,24 @@ class TestTargetTables:
         with pytest.raises(SystemExit):
             parser.parse_args(["recover", "--ghost-timers"])
 
+    def test_cli_offers_exactly_seven_subcommands(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        (sub,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(sub.choices) == {
+            "list", "claims", "quickstart", "fuzz", "explore", "recover",
+            "replay",
+        }
+        assert "--profile" not in parser._option_string_actions
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--profile", "list"])
+
 
 class TestCli:
     def test_explore_durable_target_runs_clean(self, capsys):
