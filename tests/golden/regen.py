@@ -11,9 +11,20 @@ byte total shows as ``checksums`` rows moving and ``state`` rows not.
 ``systems_digests.json`` pins every architecture in ``core.SYSTEMS``
 over both ordering fault models: what each block committed, the final
 state root, the result row with its ``abort.``/``exec.``/``order.``
-counters, and the message, byte and clock totals. A PR that only
-changes how fast the code runs leaves every file untouched; a PR that
-moves a row must say so.
+counters, and the message, byte and clock totals. The same file pins
+the families outside ``core.SYSTEMS`` on their own workloads: the four
+sharded designs over cross-shard SmallBank (``sharding/<name>``),
+Caper and multi-channel Fabric over the supply chain (``caper``,
+``channels``), SEPAR over crowdwork claims (``separ``), Quorum over
+public and private transfers (``quorum``) and the HTLC atomic swap
+(``atomicswap``). Those rows digest the result row and its ``extra``,
+the network message and byte totals, the final clock, every state root
+and every ledger as (contract, args); values drawn from ``secrets`` —
+SEPAR pseudonyms and token serials, Quorum commitments and private tx
+ids, HTLC contract ids, hashlocks and preimages — are left out, so
+each row depends on its seed alone. A PR that only changes how fast
+the code runs leaves every file untouched; a PR that moves a row must
+say so.
 
 Regenerate (from the repo root)::
 
@@ -23,18 +34,46 @@ Regenerate (from the repo root)::
 from __future__ import annotations
 
 import json
+import random
 from functools import cache, partial
 from pathlib import Path
 
+from repro.common.types import Transaction, TxType
+from repro.confidentiality import (
+    AssetChain,
+    AtomicSwap,
+    CaperConfig,
+    CaperSystem,
+    ChannelConfig,
+    MultiChannelFabric,
+)
 from repro.consensus import PROTOCOLS, ConsensusCluster
 from repro.core import SYSTEMS, SystemConfig
 from repro.crypto.digests import sha256_hex
 from repro.gateway import GatewayConfig, GatewayRun
 from repro.ledger.store import STORE_COUNTERS
+from repro.sharding import SYSTEMS as SHARDED_SYSTEMS
+from repro.sharding import SaguaroConfig, ShardedConfig
+from repro.sim.core import Simulation
 from repro.sim.faults import FaultPlan
 from repro.sim.network import LanLatency
 from repro.storage import DurableCluster, SnapshotStore, state_root
-from repro.workloads import KvWorkload
+from repro.verifiability import (
+    PrivateWallet,
+    QuorumConfig,
+    QuorumSystem,
+    SeparConfig,
+    SeparSystem,
+    TokenAuthority,
+)
+from repro.workloads import (
+    CrowdworkWorkload,
+    KvWorkload,
+    SmallBankWorkload,
+    SupplyChainWorkload,
+    smallbank_registry,
+    supply_chain_registry,
+)
 from repro.workloads.openloop import (
     OpenLoopConfig,
     OpenLoopWorkload,
@@ -211,6 +250,184 @@ def systems_row(system: str, protocol: str, seed: int) -> str:
     )))
 
 
+def _ledger(chain) -> list[tuple]:
+    return [(tx.contract, tx.args) for tx in chain.all_transactions()]
+
+
+def family_digest(system, result, stores, ledgers) -> str:
+    """Digest of one run of a family outside ``core.SYSTEMS``.
+
+    ``stores`` and ``ledgers`` map a name (shard, enterprise, channel)
+    to a state store and to a list of (contract, args) pairs.
+    """
+    metrics = system.sim.metrics
+    return sha256_hex(repr((
+        result.to_row(),
+        sorted(result.extra.items()),
+        metrics.get("net.messages"),
+        metrics.get("net.bytes"),
+        system.sim.now,
+        sorted((name, state_root(store)) for name, store in stores.items()),
+        sorted(ledgers.items()),
+    )))
+
+
+def sharded_row(system: str, seed: int) -> str:
+    """One sharded design over SmallBank: 3 clusters, 30 % cross-shard."""
+    workload = SmallBankWorkload(n_customers=60, n_shards=3,
+                                 cross_shard_fraction=0.3, seed=seed)
+
+    def shard_of_key(key: str) -> str:
+        return workload.shard_of(key.split(":")[1])
+
+    config_cls = SaguaroConfig if system == "saguaro" else ShardedConfig
+    sharded = SHARDED_SYSTEMS[system](
+        smallbank_registry(), shard_of_key,
+        config_cls(n_clusters=3, seed=seed),
+    )
+    for tx in workload.setup_transactions() + workload.generate(60):
+        sharded.submit(tx)
+    result = sharded.run()
+    stores = dict(sharded.stores)
+    ledgers = {shard: _ledger(chain) for shard, chain in sharded.ledgers.items()}
+    if system == "resilientdb":
+        stores["global"] = sharded.global_store
+        ledgers["global"] = _ledger(sharded.global_ledger)
+    return family_digest(sharded, result, stores, ledgers)
+
+
+def _supply_chain(seed: int) -> tuple[SupplyChainWorkload, list[Transaction]]:
+    workload = SupplyChainWorkload(items=4, internal_fraction=0.5, seed=seed)
+    return workload, workload.setup_transactions() + workload.generate(60)
+
+
+def caper_row(seed: int) -> str:
+    workload, txs = _supply_chain(seed)
+    caper = CaperSystem(workload.enterprises, supply_chain_registry(),
+                        CaperConfig(seed=seed))
+    for tx in txs:
+        caper.submit(tx)
+    result = caper.run()
+    ledgers = {
+        enterprise: [(v.tx.contract, v.tx.args) for v in caper.view(enterprise)]
+        for enterprise in caper.enterprises
+    }
+    return family_digest(caper, result, caper.stores, ledgers)
+
+
+def channels_row(seed: int) -> str:
+    workload, txs = _supply_chain(seed)
+    fabric = MultiChannelFabric({e: {e} for e in workload.enterprises},
+                                supply_chain_registry(), ChannelConfig(seed=seed))
+    for tx in txs:
+        internal = tx.tx_type is TxType.INTERNAL
+        fabric.submit(tx, [tx.submitter] if internal else sorted(tx.involved))
+    result = fabric.run()
+    return family_digest(
+        fabric, result,
+        {name: channel.store for name, channel in fabric.channels.items()},
+        {name: _ledger(channel.ledger)
+         for name, channel in fabric.channels.items()},
+    )
+
+
+def separ_row(seed: int) -> str:
+    """Crowdwork claims paid in tokens, plus one double-spend replay."""
+    authority = TokenAuthority()
+    workload = CrowdworkWorkload(workers=8, platforms=3, seed=seed)
+    separ = SeparSystem(workload.platform_ids, authority, SeparConfig(seed=seed))
+    wallets = {w: authority.issue(w, 0, 40) for w in workload.worker_ids}
+    spent = []
+    for _ in range(30):
+        claim = workload.next_claim(0)
+        wallet = wallets[claim.worker]
+        if len(wallet) >= claim.hours:
+            spent = [wallet.pop() for _ in range(claim.hours)]
+            separ.submit(SeparSystem.tokenize(claim, spent))
+    separ.submit(SeparSystem.tokenize(claim, spent))
+    result = separ.run()
+    claims = [(c.platform, c.task, c.hours, c.week)
+              for c in separ.committed_claims]
+    return family_digest(separ, result, {}, {"claims": claims})
+
+
+def quorum_row(seed: int) -> str:
+    """Public kv writes interleaved with private transfers; the last two
+    transfers arrive out of order, so validation rejects the first."""
+    quorum = QuorumSystem(QuorumConfig(seed=seed, range_bits=8))
+    alice = PrivateWallet("alice", quorum.params)
+    bob = PrivateWallet("bob", quorum.params)
+    for wallet, account, balance in ((alice, "acc:alice", 200),
+                                     (bob, "acc:bob", 0)):
+        quorum.register_account(account, wallet.open_account(account, balance),
+                                wallet.public_key)
+    rng = random.Random(seed)
+    for index in range(24):
+        if index % 3:
+            quorum.submit_public(Transaction.create(
+                "kv_set", (f"k{rng.randrange(6)}", index)))
+            continue
+        transfer, amount, blinding = alice.build_transfer(
+            "acc:alice", "acc:bob", rng.randrange(1, 20), bits=8)
+        bob.receive("acc:bob", amount, blinding)
+        quorum.submit_private(transfer)
+    for transfer in reversed([alice.build_transfer("acc:alice", "acc:bob",
+                                                   amount, bits=8)[0]
+                              for amount in (3, 4)]):
+        quorum.submit_private(transfer)
+    result = quorum.run()
+    ledger = [(tx.contract, () if tx.contract == "private_transfer" else tx.args)
+              for tx in quorum.ledger.all_transactions()]
+    return family_digest(quorum, result, {"public": quorum.store},
+                         {"quorum": ledger})
+
+
+def atomicswap_row(seed: int) -> str:
+    """A completed swap, one Bob walks away from and one Alice walks
+    away from, on two chains sharing one clock."""
+    sim = Simulation(seed=seed)
+    chain_a, chain_b = AssetChain("a", sim), AssetChain("b", sim)
+    chain_a.deposit("alice", 100)
+    chain_b.deposit("bob", 1_000)
+    swaps, outcomes = [], []
+    for bob_cooperates, alice_cooperates in ((True, True), (False, True),
+                                             (True, False)):
+        swap = AtomicSwap(chain_a, chain_b, "alice", "bob",
+                          amount_a=10, amount_b=50, delta=2.0 + seed)
+        swaps.append(swap)
+        outcomes.append(swap.execute(bob_cooperates=bob_cooperates,
+                                     alice_cooperates=alice_cooperates))
+    hidden = {value for chain in (chain_a, chain_b) for value in chain.htlcs}
+    hidden |= {value for swap in swaps for value in (swap.preimage,
+                                                      swap.hashlock)}
+    ledgers = {
+        chain.name: [(tx.contract, tuple("?" if arg in hidden else arg
+                                         for arg in tx.args))
+                     for tx in chain.ledger.all_transactions()]
+        for chain in (chain_a, chain_b)
+    }
+    return sha256_hex(repr((
+        outcomes,
+        sorted(ledgers.items()),
+        [sorted(chain.balances.items()) for chain in (chain_a, chain_b)],
+        [sorted((h.sender, h.receiver, h.amount, h.timeout_at, h.state)
+                for h in chain.htlcs.values()) for chain in (chain_a, chain_b)],
+        sim.now,
+    )))
+
+
+#: Families outside ``core.SYSTEMS``, by row-name prefix.
+FAMILY_ROWS = {
+    **{f"sharding/{system}": partial(sharded_row, system)
+       for system in SHARDED_SYSTEMS},
+    "caper": caper_row,
+    "channels": channels_row,
+    "separ": separ_row,
+    "quorum": quorum_row,
+    "atomicswap": atomicswap_row,
+}
+
+
 #: Golden file -> {row name -> thunk computing that row's digest}.
 FILES = {
     CONSENSUS_FILE: {
@@ -232,6 +449,9 @@ FILES = {
             partial(systems_row, system, protocol, seed)
         for system in SYSTEMS for protocol in SYSTEM_PROTOCOLS
         for seed in SEEDS
+    } | {
+        f"{family}/seed{seed}": partial(compute, seed)
+        for family, compute in FAMILY_ROWS.items() for seed in SEEDS
     },
 }
 ROWS = {

@@ -5,7 +5,8 @@ seed, plan) ordering run plus one gateway run's ledger fingerprint;
 ``tests/golden/storage_digests.json`` two per durable-cluster (mode,
 seed): committed state and byte totals, and run-file checksums;
 ``tests/golden/systems_digests.json`` one per (architecture, protocol,
-seed). A change that moves messages, decide times, event order, a state
+seed) plus one per seed for each family outside ``core.SYSTEMS``
+(sharding, Caper, channels, SEPAR, Quorum, the atomic swap). A change that moves messages, decide times, event order, a state
 root, a commit or abort, a run's size or an on-disk byte fails here by
 row name; regenerate with
 ``PYTHONPATH=src python tests/golden/regen.py`` and say so in
