@@ -540,9 +540,9 @@ def _e9(internal_fraction) -> Row:
     result = _run(caper, txs)
     latencies: dict[bool, list[float]] = {True: [], False: []}
     for tx in txs:
-        if tx.tx_id in caper._commit_times:
-            latencies[tx.tx_type is TxType.INTERNAL].append(
-                caper._commit_times[tx.tx_id] - caper._submit_times[tx.tx_id])
+        record = caper.record(tx.tx_id)
+        if record.committed:
+            latencies[tx.tx_type is TxType.INTERNAL].append(record.latency)
     return {"global_decisions": int(result.extra["global_decisions"]),
             "internal_latency": _mean(latencies[True]),
             "cross_latency": _mean(latencies[False]),

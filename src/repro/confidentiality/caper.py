@@ -24,11 +24,11 @@ Modelled faithfully:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
+from repro.common.driver import RunDriver, TxRecord
 from repro.common.errors import ConfigError, ValidationError
-from repro.common.metrics import RunResult
 from repro.common.types import Transaction, TxType
 from repro.consensus import PROTOCOLS, ConsensusCluster
 from repro.execution.contracts import ContractRegistry
@@ -80,8 +80,10 @@ def key_owner(key: str) -> str | None:
     return None
 
 
-class CaperSystem:
+class CaperSystem(RunDriver):
     """A Caper network over a set of enterprises."""
+
+    name = "caper"
 
     def __init__(
         self,
@@ -91,6 +93,7 @@ class CaperSystem:
     ) -> None:
         if len(enterprises) < 2:
             raise ConfigError("Caper needs at least two enterprises")
+        super().__init__()
         self.enterprises = list(enterprises)
         self.registry = registry
         self.config = config or CaperConfig()
@@ -127,14 +130,8 @@ class CaperSystem:
             id_prefix="g",
             decide_listener=self._on_global_decide,
         )
-        self._tx_by_id: dict[str, Transaction] = {}
-        self._submit_times: dict[str, float] = {}
-        self._commit_times: dict[str, float] = {}
-        self._aborted: set[str] = set()
-        self._pending: list[Transaction] = []
         self._seq: dict[str, int] = {e: 0 for e in self.enterprises}
         self._global_seq = 0
-        self._ran = False
 
     # -- submission -----------------------------------------------------------
 
@@ -145,37 +142,10 @@ class CaperSystem:
             )
         if tx.tx_type is TxType.INTERNAL and tx.submitter not in self.stores:
             raise ValidationError(f"unknown enterprise: {tx.submitter}")
-        self._tx_by_id[tx.tx_id] = tx
-        self._pending.append(tx)
+        super().submit(tx)
 
-    def run(self) -> RunResult:
-        if self._ran:
-            raise ConfigError("a CaperSystem runs exactly once")
-        self._ran = True
-        interval = (
-            1.0 / self.config.arrival_rate if self.config.arrival_rate else 0.0
-        )
-        at = 0.0
-        for tx in self._pending:
-            self._submit_times[tx.tx_id] = at
-
-            def arrive(t=tx) -> None:
-                self._route(t)
-
-            self.sim.schedule_at(at, arrive)
-            at += interval
-        horizon = self.config.max_time
-        total = len(self._pending)
-        while self.sim.now < horizon:
-            if len(self._commit_times) + len(self._aborted) >= total:
-                break
-            before = self.sim.now
-            processed = self.sim.run(until=min(horizon, self.sim.now + 0.5))
-            if processed == 0 and self.sim.now == before:
-                break
-        return self._build_result()
-
-    def _route(self, tx: Transaction) -> None:
+    def _ingest(self, record: TxRecord) -> None:
+        tx = record.tx
         if tx.tx_type is TxType.INTERNAL:
             self._local_clusters[tx.submitter].submit(tx.tx_id)
             self.sim.metrics.incr("caper.local_submissions")
@@ -205,13 +175,13 @@ class CaperSystem:
         rwset = execute_with_capture(self.registry, tx, store)
         self.sim.metrics.incr("caper.local_decisions")
         if not rwset.ok:
-            self._aborted.add(tx.tx_id)
+            self._mark_aborted(tx, "business_rule")
             return
         version = Version(height=self._seq[enterprise], tx_index=0)
         self._seq[enterprise] += 1
         store.apply_writes(rwset.writes, version)
         self.dag.add_internal(enterprise, tx)
-        self._commit_times[tx.tx_id] = self.sim.now
+        self._mark_committed(tx)
 
     def _commit_cross(self, tx: Transaction) -> None:
         involved = sorted(tx.involved) or list(self.enterprises)
@@ -221,7 +191,7 @@ class CaperSystem:
         rwset = execute_with_capture(self.registry, tx, view)
         self.sim.metrics.incr("caper.global_decisions")
         if not rwset.ok:
-            self._aborted.add(tx.tx_id)
+            self._mark_aborted(tx, "business_rule")
             return
         self._global_seq += 1
         version = Version(height=1_000_000 + self._global_seq, tx_index=0)
@@ -234,7 +204,7 @@ class CaperSystem:
                 if target in self.stores:
                     self.stores[target].apply_writes({key: value}, version)
         self.dag.add_cross(tx)
-        self._commit_times[tx.tx_id] = self.sim.now
+        self._mark_committed(tx)
 
     # -- views and audits --------------------------------------------------------
 
@@ -261,20 +231,8 @@ class CaperSystem:
                 leaks[enterprise] = found
         return leaks
 
-    def _build_result(self) -> RunResult:
-        result = RunResult(system="caper")
-        last = 0.0
-        for tx_id, commit_time in self._commit_times.items():
-            result.committed += 1
-            result.latencies.record(commit_time - self._submit_times[tx_id])
-            last = max(last, commit_time)
-        result.aborted = len(self._aborted) + (
-            len(self._pending) - len(self._commit_times) - len(self._aborted)
-        )
-        result.duration = last if last > 0 else self.sim.now
-        result.messages = int(self.sim.metrics.get("net.messages"))
-        result.extra = {
+    def _extra(self, committed: list[TxRecord]) -> dict[str, float]:
+        return {
             "local_decisions": self.sim.metrics.get("caper.local_decisions"),
             "global_decisions": self.sim.metrics.get("caper.global_decisions"),
         }
-        return result

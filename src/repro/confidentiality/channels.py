@@ -30,10 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.common.driver import RunDriver, TxRecord
 from repro.common.errors import ConfigError, ValidationError
-from repro.common.metrics import RunResult
 from repro.common.types import Transaction
 from repro.consensus import PROTOCOLS, ConsensusCluster
+from repro.execution.conflict_index import KeyLockIndex
 from repro.execution.contracts import ContractRegistry
 from repro.execution.rwsets import execute_with_capture
 from repro.ledger.chain import Blockchain
@@ -61,12 +62,16 @@ class Channel:
     members: frozenset[str]
     ledger: Blockchain = field(default_factory=Blockchain)
     store: StateStore = field(default_factory=StateStore)
-    locked_keys: dict[str, str] = field(default_factory=dict)  # key -> tx id
+    #: Keys a prepared cross-channel tx holds until its commit record.
+    locks: KeyLockIndex = field(default_factory=KeyLockIndex)
     height: int = 0
 
 
-class MultiChannelFabric:
+class MultiChannelFabric(RunDriver):
     """A Fabric network with multiple channels and one ordering service."""
+
+    name = "multichannel-fabric"
+    extra_prefixes = ("channels.",)
 
     def __init__(
         self,
@@ -76,6 +81,7 @@ class MultiChannelFabric:
     ) -> None:
         if not channels:
             raise ConfigError("need at least one channel")
+        super().__init__()
         self.config = config or ChannelConfig()
         self.registry = registry
         self.sim = Simulation(seed=self.config.seed)
@@ -93,15 +99,9 @@ class MultiChannelFabric:
             name: Channel(name=name, members=frozenset(members))
             for name, members in channels.items()
         }
-        self._tx_by_id: dict[str, Transaction] = {}
         self._tx_channels: dict[str, list[str]] = {}
-        self._submit_times: dict[str, float] = {}
-        self._commit_times: dict[str, float] = {}
-        self._aborted: dict[str, str] = {}
-        self._pending: list[tuple[Transaction, list[str]]] = []
         self._prepared: dict[str, set[str]] = {}  # tx -> channels prepared
         self._cross_writes: dict[str, dict[str, dict[str, Any]]] = {}
-        self._ran = False
 
     # -- submission ------------------------------------------------------------
 
@@ -112,40 +112,17 @@ class MultiChannelFabric:
             raise ValidationError(f"unknown channels: {unknown}")
         if not channels:
             raise ValidationError("a transaction needs at least one channel")
-        self._tx_by_id[tx.tx_id] = tx
+        super().submit(tx)
         self._tx_channels[tx.tx_id] = list(channels)
-        self._pending.append((tx, list(channels)))
 
-    def run(self) -> RunResult:
-        if self._ran:
-            raise ConfigError("a MultiChannelFabric runs exactly once")
-        self._ran = True
-        interval = (
-            1.0 / self.config.arrival_rate if self.config.arrival_rate else 0.0
-        )
-        at = 0.0
-        for tx, channels in self._pending:
-            self._submit_times[tx.tx_id] = at
-            if len(channels) == 1:
-                record = ("tx", channels[0], tx.tx_id)
-            else:
-                record = ("prepare", tuple(sorted(channels)), tx.tx_id)
-
-            def arrive(r=record) -> None:
-                self.cluster.submit(r, via=self._reference)
-
-            self.sim.schedule_at(at, arrive)
-            at += interval
-        horizon = self.config.max_time
-        total = len(self._pending)
-        while self.sim.now < horizon:
-            if len(self._commit_times) + len(self._aborted) >= total:
-                break
-            before = self.sim.now
-            processed = self.sim.run(until=min(horizon, self.sim.now + 0.5))
-            if processed == 0 and self.sim.now == before:
-                break
-        return self._build_result()
+    def _ingest(self, record: TxRecord) -> None:
+        tx_id = record.tx.tx_id
+        channels = self._tx_channels[tx_id]
+        if len(channels) == 1:
+            value = ("tx", channels[0], tx_id)
+        else:
+            value = ("prepare", tuple(sorted(channels)), tx_id)
+        self.cluster.submit(value, via=self._reference)
 
     # -- ordered records -------------------------------------------------------------
 
@@ -163,14 +140,13 @@ class MultiChannelFabric:
     def _apply_single(self, channel_name: str, tx_id: str) -> None:
         channel = self.channels[channel_name]
         tx = self._tx_by_id[tx_id]
-        touched = {op.key for op in tx.declared_ops}
-        if touched & set(channel.locked_keys):
-            self._aborted[tx_id] = "locked_by_2pc"
+        if channel.locks.conflicts(op.key for op in tx.declared_ops):
+            self._mark_aborted(tx, "locked_by_2pc")
             self.sim.metrics.incr("channels.lock_aborts")
             return
         rwset = execute_with_capture(self.registry, tx, channel.store)
         if not rwset.ok:
-            self._aborted[tx_id] = "business_rule"
+            self._mark_aborted(tx, "business_rule")
             return
         channel.height += 1
         channel.store.apply_writes(
@@ -180,7 +156,7 @@ class MultiChannelFabric:
             [tx], timestamp=self.sim.now, proposer=self._reference
         )
         channel.ledger.append(block)
-        self._commit_times[tx_id] = self.sim.now
+        self._mark_committed(tx)
         self.sim.metrics.incr("channels.intra_commits")
 
     def _apply_prepare(self, channel_names: list[str], tx_id: str) -> None:
@@ -188,16 +164,15 @@ class MultiChannelFabric:
         touched = {op.key for op in tx.declared_ops}
         # Vote: every involved channel must be lock-free on the keys.
         for name in channel_names:
-            channel = self.channels[name]
-            if touched & set(channel.locked_keys):
-                self._aborted[tx_id] = "2pc_lock_conflict"
+            if self.channels[name].locks.conflicts(touched):
+                self._mark_aborted(tx, "2pc_lock_conflict")
                 self.sim.metrics.incr("channels.2pc_aborts")
                 return
         # Execute against the union view of the involved channels.
         view = _UnionView([self.channels[n].store for n in channel_names])
         rwset = execute_with_capture(self.registry, tx, view)
         if not rwset.ok:
-            self._aborted[tx_id] = "business_rule"
+            self._mark_aborted(tx, "business_rule")
             return
         per_channel: dict[str, dict[str, Any]] = {n: {} for n in channel_names}
         for key, val in rwset.writes.items():
@@ -207,9 +182,7 @@ class MultiChannelFabric:
                 per_channel[name][key] = val
         self._cross_writes[tx_id] = per_channel
         for name in channel_names:
-            channel = self.channels[name]
-            for key in touched:
-                channel.locked_keys[key] = tx_id
+            self.channels[name].locks.acquire(touched, tx_id)
         self._prepared[tx_id] = set(channel_names)
         self.sim.metrics.incr("channels.2pc_prepares")
         # Second phase: the trusted orderer orders the commit record.
@@ -232,11 +205,9 @@ class MultiChannelFabric:
                 [tx], timestamp=self.sim.now, proposer=self._reference
             )
             channel.ledger.append(block)
-            for key, locker in list(channel.locked_keys.items()):
-                if locker == tx_id:
-                    del channel.locked_keys[key]
+            channel.locks.release(tx_id)
         del self._prepared[tx_id]
-        self._commit_times[tx_id] = self.sim.now
+        self._mark_committed(tx)
         self.sim.metrics.incr("channels.cross_commits")
 
     # -- audits --------------------------------------------------------------------------
@@ -260,27 +231,6 @@ class MultiChannelFabric:
             if channel.ledger.find_transaction(tx_id) is not None:
                 copies += len(channel.members)
         return copies
-
-    def _build_result(self) -> RunResult:
-        result = RunResult(system="multichannel-fabric")
-        last = 0.0
-        for tx_id, commit_time in self._commit_times.items():
-            result.committed += 1
-            result.latencies.record(commit_time - self._submit_times[tx_id])
-            last = max(last, commit_time)
-        result.aborted = len(self._aborted)
-        unresolved = (
-            len(self._pending) - len(self._commit_times) - len(self._aborted)
-        )
-        result.aborted += unresolved
-        result.duration = last if last > 0 else self.sim.now
-        result.messages = int(self.sim.metrics.get("net.messages"))
-        result.extra = {
-            key: val
-            for key, val in self.sim.metrics.snapshot().items()
-            if key.startswith("channels.")
-        }
-        return result
 
 
 class _UnionView:

@@ -21,11 +21,11 @@ executor timelines. Committed state lives in a versioned
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
+from repro.common.driver import RunDriver
 from repro.common.errors import ConfigError
-from repro.common.metrics import RunResult
 from repro.common.types import Transaction
 from repro.consensus import PROTOCOLS, ConsensusCluster
 from repro.execution.contracts import ContractRegistry, standard_registry
@@ -84,18 +84,7 @@ class SystemConfig:
             raise ConfigError("pipeline_depth must be >= 1")
 
 
-@dataclass
-class _TxRecord:
-    """Book-keeping for one submitted transaction."""
-
-    tx: Transaction
-    submitted_at: float = 0.0
-    resolved: bool = False
-    committed: bool = False
-    commit_time: float = 0.0
-
-
-class BlockchainSystem:
+class BlockchainSystem(RunDriver):
     """Abstract base: ordering service + architecture-specific pipeline.
 
     Subclasses implement :meth:`_ingest` (what happens when a client
@@ -103,12 +92,14 @@ class BlockchainSystem:
     after the ordering service totally orders a block payload).
     """
 
-    name = "abstract"
+    extra_prefixes = ("abort.", "exec.", "order.")
+    abort_metric = "abort."
 
     def __init__(
         self, config: SystemConfig | None = None,
         registry: ContractRegistry | None = None,
     ) -> None:
+        super().__init__()
         self.config = config or SystemConfig()
         self.registry = registry or standard_registry()
         self.sim = Simulation(seed=self.config.seed)
@@ -124,63 +115,12 @@ class BlockchainSystem:
         self._reference_orderer = self.cluster.config.replica_ids[0]
         self.ledger = Blockchain()
         self.store = StateStore()
-        self._records: dict[str, _TxRecord] = {}
-        self._tx_by_id: dict[str, Transaction] = {}
-        self._submit_order: list[str] = []
         self._order_queue: list[str] = []  # tx ids awaiting a block
         self._block_timer = None
         self._payload_of: dict[tuple[str, ...], list[str]] = {}
         # Execution/validation timeline. Depth 1 (strictly serial
         # blocks) unless a subclass opts into pipelined validation.
         self._exec_pipeline = ExecutionPipeline(depth=1)
-        self._ran = False
-
-    # -- client API ----------------------------------------------------------
-
-    def submit(self, tx: Transaction) -> None:
-        """Queue ``tx`` for the run (call before :meth:`run`)."""
-        if self._ran:
-            raise ConfigError("submit() after run() is not supported")
-        if tx.tx_id in self._records:
-            raise ConfigError(f"duplicate transaction id: {tx.tx_id}")
-        self._records[tx.tx_id] = _TxRecord(tx=tx)
-        self._tx_by_id[tx.tx_id] = tx
-        self._submit_order.append(tx.tx_id)
-
-    def run(self) -> RunResult:
-        """Simulate the whole run and summarise it."""
-        if self._ran:
-            raise ConfigError("a system instance runs exactly once")
-        self._ran = True
-        self._schedule_arrivals()
-        horizon = self.config.max_time
-        while self.sim.now < horizon:
-            if all(r.resolved for r in self._records.values()):
-                break
-            before = self.sim.now
-            processed = self.sim.run(
-                until=min(horizon, self.sim.now + 0.5), max_events=5_000_000
-            )
-            if processed == 0 and self.sim.now == before:
-                break  # drained
-        return self._build_result()
-
-    # -- arrivals ---------------------------------------------------------------
-
-    def _schedule_arrivals(self) -> None:
-        interval = (
-            1.0 / self.config.arrival_rate if self.config.arrival_rate else 0.0
-        )
-        at = 0.0
-        for tx_id in self._submit_order:
-            record = self._records[tx_id]
-            record.submitted_at = at
-
-            def arrive(r=record) -> None:
-                self._ingest(r)
-
-            self.sim.schedule_at(at, arrive)
-            at += interval
 
     # -- ordering service ----------------------------------------------------------
 
@@ -236,63 +176,8 @@ class BlockchainSystem:
         exact block order."""
         return self._exec_pipeline.claim(self.sim.now, duration)
 
-    # -- commit bookkeeping ------------------------------------------------------------
-
-    def _mark_committed(self, tx: Transaction) -> None:
-        record = self._records[tx.tx_id]
-        if record.resolved:
-            return
-        record.resolved = True
-        record.committed = True
-        record.commit_time = self.sim.now
-
-    def _mark_aborted(self, tx: Transaction, reason: str) -> None:
-        record = self._records[tx.tx_id]
-        if record.resolved:
-            return
-        record.resolved = True
-        record.committed = False
-        self.sim.metrics.incr(f"abort.{reason}")
-
-    def committed_tx_ids(self) -> set[str]:
-        """Ids of every transaction marked committed so far (the set the
-        ledger-linkage and serializability invariants audit)."""
-        return {
-            tx_id
-            for tx_id, record in self._records.items()
-            if record.committed
-        }
-
     # -- subclass hooks ---------------------------------------------------------------------
-
-    def _ingest(self, record: _TxRecord) -> None:
-        """A client transaction arrived; route it into the pipeline."""
-        raise NotImplementedError
 
     def _on_block_decided(self, txs: list[Transaction]) -> None:
         """The ordering service totally ordered a block of ``txs``."""
         raise NotImplementedError
-
-    # -- results -------------------------------------------------------------------------------
-
-    def _build_result(self) -> RunResult:
-        result = RunResult(system=self.name)
-        last_commit = 0.0
-        for record in self._records.values():
-            if not record.resolved:
-                self._mark_aborted(record.tx, "unresolved")
-            if record.committed:
-                result.committed += 1
-                result.latencies.record(record.commit_time - record.submitted_at)
-                last_commit = max(last_commit, record.commit_time)
-            else:
-                result.aborted += 1
-        result.duration = last_commit if last_commit > 0 else self.sim.now
-        result.messages = int(self.sim.metrics.get("net.messages"))
-        result.bytes_sent = int(self.sim.metrics.get("net.bytes"))
-        result.extra = {
-            key: value
-            for key, value in self.sim.metrics.snapshot().items()
-            if key.startswith(("abort.", "exec.", "order."))
-        }
-        return result

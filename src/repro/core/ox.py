@@ -13,8 +13,9 @@ the "low performance" the Discussion paragraph attributes to OX.
 
 from __future__ import annotations
 
+from repro.common.driver import TxRecord
 from repro.common.types import Transaction
-from repro.core.base import BlockchainSystem, _TxRecord
+from repro.core.base import BlockchainSystem
 from repro.execution.serial import execute_block_serially
 
 
@@ -23,7 +24,7 @@ class OxSystem(BlockchainSystem):
 
     name = "ox"
 
-    def _ingest(self, record: _TxRecord) -> None:
+    def _ingest(self, record: TxRecord) -> None:
         # Pessimistic: the raw transaction goes straight to ordering.
         self._enqueue_for_ordering(record.tx.tx_id)
 

@@ -18,9 +18,10 @@ under total contention it degrades gracefully to OX.
 
 from __future__ import annotations
 
+from repro.common.driver import TxRecord
 from repro.common.errors import ExecutionError
 from repro.common.types import Transaction
-from repro.core.base import BlockchainSystem, _TxRecord
+from repro.core.base import BlockchainSystem
 from repro.execution.conflict_index import BlockConflictIndex, SealTracker
 from repro.execution.depgraph import (
     schedule_multi_enterprise,
@@ -57,7 +58,7 @@ class OxiiSystem(BlockchainSystem):
         self._uid_of: dict[str, int] = {}
         self._seals = SealTracker()
 
-    def _ingest(self, record: _TxRecord) -> None:
+    def _ingest(self, record: TxRecord) -> None:
         tx = record.tx
         if not tx.declared_ops:
             raise ExecutionError(

@@ -25,8 +25,9 @@ class attributes: ``reorder`` (Fabric++ / FabricSharp block reordering),
 
 from __future__ import annotations
 
+from repro.common.driver import TxRecord
 from repro.common.types import Transaction
-from repro.core.base import BlockchainSystem, _TxRecord
+from repro.core.base import BlockchainSystem
 from repro.crypto.sigcache import ModelledSigVerifier
 from repro.execution.conflict_index import ConstraintIndex, SealTracker
 from repro.execution.mvcc import EndorsedTx, endorse, validate_endorsement
@@ -92,7 +93,7 @@ class XovSystem(BlockchainSystem):
 
     # -- endorsement (execute phase) ---------------------------------------
 
-    def _ingest(self, record: _TxRecord) -> None:
+    def _ingest(self, record: TxRecord) -> None:
         tx = record.tx
         snapshot = self.store.snapshot()
         if self.peer_group is not None:

@@ -135,7 +135,7 @@ class GatewayRun:
         inner_commit = system._mark_committed
 
         def mark_committed(tx: Transaction) -> None:
-            record = system._records[tx.tx_id]
+            record = system.record(tx.tx_id)
             already = record.resolved
             inner_commit(tx)
             if not already and record.committed:
@@ -147,7 +147,7 @@ class GatewayRun:
         inner_abort = system._mark_aborted
 
         def mark_aborted(tx: Transaction, reason: str) -> None:
-            record = system._records[tx.tx_id]
+            record = system.record(tx.tx_id)
             already = record.resolved
             inner_abort(tx, reason)
             if already:
@@ -168,7 +168,7 @@ class GatewayRun:
 
     def _schedule_gateway_arrivals(self) -> None:
         for arrival in self._arrivals:
-            record = self.system._records[arrival.tx.tx_id]
+            record = self.system.record(arrival.tx.tx_id)
             record.submitted_at = arrival.time
             self.system.sim.schedule_at(
                 arrival.time, self._fire_arrival, arrival
@@ -198,7 +198,7 @@ class GatewayRun:
 
     def _ingest_batch(self, batch: list[Transaction]) -> None:
         for tx in batch:
-            self.system._ingest(self.system._records[tx.tx_id])
+            self.system._ingest(self.system.record(tx.tx_id))
 
     def _on_shed(self, tx: Transaction, reason: str) -> None:
         # Resolve the system-side record so the run can drain; the

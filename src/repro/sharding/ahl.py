@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.errors import ConfigError
+from repro.common.driver import TxRecord
 from repro.common.types import Transaction
 from repro.consensus import PROTOCOLS, ConsensusCluster
 from repro.sharding.clusters import ClusterPort, ShardedSystem
@@ -143,7 +144,8 @@ class AhlSystem(ShardedSystem):
 
     # -- routing ----------------------------------------------------------------
 
-    def _route(self, tx: Transaction) -> None:
+    def _ingest(self, record: TxRecord) -> None:
+        tx = record.tx
         if len(tx.involved) == 1:
             shard = next(iter(tx.involved))
             self.clusters[shard].submit(("intra", tx.tx_id))
@@ -211,13 +213,13 @@ class AhlSystem(ShardedSystem):
                         f"{shard}-port", Decision(tx_id=tx.tx_id, commit=True)
                     )
             else:
-                self.abort(tx, "business_rule")
+                self._mark_aborted(tx, "business_rule")
                 for shard in sorted(tx.involved):
                     self.ref_port.send(
                         f"{shard}-port", Decision(tx_id=tx.tx_id, commit=False)
                     )
         elif kind == "decide-abort":
-            self.abort(tx, "lock_conflict")
+            self._mark_aborted(tx, "lock_conflict")
             for shard in sorted(tx.involved):
                 self.ref_port.send(
                     f"{shard}-port", Decision(tx_id=tx.tx_id, commit=False)
@@ -239,7 +241,7 @@ class AhlSystem(ShardedSystem):
             done = self._done.setdefault(message.tx_id, set())
             done.add(message.shard)
             if done == tx.involved and message.tx_id in self._cross_writes:
-                self.commit(tx)
+                self._mark_committed(tx)
                 self.sim.metrics.incr("shard.cross_commits")
 
     # -- ports of the shards -------------------------------------------------------------

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.common.driver import RunDriver, TxRecord
 from repro.common.errors import ConfigError, ValidationError
-from repro.common.metrics import RunResult
-from repro.common.types import Transaction, TxType
+from repro.common.types import Transaction
 from repro.consensus import PROTOCOLS, ConsensusCluster
 from repro.execution.conflict_index import KeyLockIndex
 from repro.execution.contracts import ContractRegistry
@@ -66,10 +66,12 @@ class ClusterPort(Node):
         self._handler(src, message)
 
 
-class ShardedSystem:
+class ShardedSystem(RunDriver):
     """Base class for ResilientDB, AHL, SharPer and Saguaro."""
 
     name = "sharded"
+    extra_prefixes = ("shard.",)
+    abort_metric = "shard.abort."
 
     def __init__(
         self,
@@ -77,6 +79,7 @@ class ShardedSystem:
         shard_of_key: Callable[[str], str],
         config: ShardedConfig | None = None,
     ) -> None:
+        super().__init__()
         self.config = config or ShardedConfig()
         self.registry = registry
         self.shard_of_key = shard_of_key
@@ -117,19 +120,12 @@ class ShardedSystem:
             self.stores[shard] = StateStore()
             self.ledgers[shard] = Blockchain()
             self.heights[shard] = 0
-        self._tx_by_id: dict[str, Transaction] = {}
-        self._submit_times: dict[str, float] = {}
-        self._commit_times: dict[str, float] = {}
-        self._cross_ids: set[str] = set()
-        self._aborted: dict[str, str] = {}
-        self._pending: list[Transaction] = []
         # Per-shard no-wait lock tables: conflict probes are O(keys
         # touched), release O(keys held) — no per-tx table scans.
         self._locks: dict[str, KeyLockIndex] = {
             s: KeyLockIndex() for s in self.shards
         }
         self._exec_free: dict[str, float] = {s: 0.0 for s in self.shards}
-        self._ran = False
 
     def _wan_matrix(self) -> dict[tuple[str, str], float]:
         matrix = {}
@@ -153,7 +149,7 @@ class ShardedSystem:
 
         return handler
 
-    # -- submission & run -----------------------------------------------------
+    # -- submission -------------------------------------------------------------
 
     def submit(self, tx: Transaction) -> None:
         if not tx.involved:
@@ -161,37 +157,7 @@ class ShardedSystem:
         unknown = tx.involved - set(self.shards)
         if unknown:
             raise ValidationError(f"unknown shards: {unknown}")
-        self._tx_by_id[tx.tx_id] = tx
-        self._pending.append(tx)
-
-    def run(self) -> RunResult:
-        if self._ran:
-            raise ConfigError("a sharded system runs exactly once")
-        self._ran = True
-        interval = (
-            1.0 / self.config.arrival_rate if self.config.arrival_rate else 0.0
-        )
-        at = 0.0
-        for tx in self._pending:
-            self._submit_times[tx.tx_id] = at
-            if len(tx.involved) > 1:
-                self._cross_ids.add(tx.tx_id)
-
-            def arrive(t=tx) -> None:
-                self._route(t)
-
-            self.sim.schedule_at(at, arrive)
-            at += interval
-        total = len(self._pending)
-        horizon = self.config.max_time
-        while self.sim.now < horizon:
-            if len(self._commit_times) + len(self._aborted) >= total:
-                break
-            before = self.sim.now
-            processed = self.sim.run(until=min(horizon, self.sim.now + 0.5))
-            if processed == 0 and self.sim.now == before:
-                break
-        return self._build_result()
+        super().submit(tx)
 
     # -- execution helpers --------------------------------------------------------
 
@@ -214,15 +180,15 @@ class ShardedSystem:
         def finish() -> None:
             touched = {op.key for op in tx.declared_ops}
             if self._locks[shard].conflicts(touched):
-                self.abort(tx, "lock_conflict")
+                self._mark_aborted(tx, "lock_conflict")
                 return
             rwset = self.execute_on_shards(tx, [shard])
             if not rwset.ok:
-                self.abort(tx, "business_rule")
+                self._mark_aborted(tx, "business_rule")
                 return
             self.apply_writes(shard, rwset.writes)
             self.append_to_ledger(shard, tx)
-            self.commit(tx)
+            self._mark_committed(tx)
 
         self.sim.schedule_at(done_at, finish)
 
@@ -256,20 +222,7 @@ class ShardedSystem:
         ledger = self.ledgers[shard]
         ledger.append(ledger.next_block([tx], timestamp=self.sim.now))
 
-    def commit(self, tx: Transaction) -> None:
-        if tx.tx_id not in self._commit_times:
-            self._commit_times[tx.tx_id] = self.sim.now
-
-    def abort(self, tx: Transaction, reason: str) -> None:
-        if tx.tx_id not in self._aborted and tx.tx_id not in self._commit_times:
-            self._aborted[tx.tx_id] = reason
-            self.sim.metrics.incr(f"shard.abort.{reason}")
-
     # -- subclass hooks ---------------------------------------------------------------
-
-    def _route(self, tx: Transaction) -> None:
-        """A transaction arrived; send it into the architecture."""
-        raise NotImplementedError
 
     def _on_cluster_decide(self, shard: str, value: Any) -> None:
         """``shard``'s local consensus decided ``value``."""
@@ -281,23 +234,13 @@ class ShardedSystem:
 
     # -- results ---------------------------------------------------------------------------
 
-    def _build_result(self) -> RunResult:
-        result = RunResult(system=self.name)
-        last = 0.0
+    def _extra(self, committed: list[TxRecord]) -> dict[str, float]:
         intra_lat: list[float] = []
         cross_lat: list[float] = []
-        for tx_id, commit_time in self._commit_times.items():
-            result.committed += 1
-            latency = commit_time - self._submit_times[tx_id]
-            result.latencies.record(latency)
-            (cross_lat if tx_id in self._cross_ids else intra_lat).append(latency)
-            last = max(last, commit_time)
-        result.aborted = len(self._aborted) + (
-            len(self._pending) - len(self._commit_times) - len(self._aborted)
-        )
-        result.duration = last if last > 0 else self.sim.now
-        result.messages = int(self.sim.metrics.get("net.messages"))
-        result.extra = {
+        for record in committed:
+            cross = len(record.tx.involved) > 1
+            (cross_lat if cross else intra_lat).append(record.latency)
+        return {
             "intra_mean_latency": (
                 sum(intra_lat) / len(intra_lat) if intra_lat else 0.0
             ),
@@ -305,15 +248,8 @@ class ShardedSystem:
                 sum(cross_lat) / len(cross_lat) if cross_lat else 0.0
             ),
             "cross_committed": float(len(cross_lat)),
+            **super()._extra(committed),
         }
-        result.extra.update(
-            {
-                key: val
-                for key, val in self.sim.metrics.snapshot().items()
-                if key.startswith("shard.")
-            }
-        )
-        return result
 
 
 class _ShardUnionView:

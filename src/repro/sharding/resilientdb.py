@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
+from repro.common.driver import TxRecord
 from repro.common.types import Transaction
 from repro.execution.rwsets import execute_with_capture
 from repro.ledger.chain import Blockchain
@@ -67,15 +68,15 @@ class ResilientDbSystem(ShardedSystem):
     def submit(self, tx: Transaction) -> None:  # noqa: D102 - see base
         # No intra/cross distinction: assign clusters round-robin.
         shard = self.shards[self._next_cluster % len(self.shards)]
+        super().submit(replace(tx, involved=frozenset({shard})))
         self._next_cluster += 1
         self._expected[shard] += 1
-        super().submit(replace(tx, involved=frozenset({shard})))
 
     # -- pipeline -------------------------------------------------------------
 
-    def _route(self, tx: Transaction) -> None:
-        shard = next(iter(tx.involved))
-        self.clusters[shard].submit(tx.tx_id)
+    def _ingest(self, record: TxRecord) -> None:
+        shard = next(iter(record.tx.involved))
+        self.clusters[shard].submit(record.tx.tx_id)
 
     def _on_cluster_decide(self, shard: str, value: Any) -> None:
         round_ = self._local_round[shard]
@@ -141,9 +142,9 @@ class ResilientDbSystem(ShardedSystem):
                 self.global_store.apply_writes(
                     rwset.writes, Version(self._global_height, 0)
                 )
-                self.commit(tx)
+                self._mark_committed(tx)
             else:
-                self.abort(tx, "business_rule")
+                self._mark_aborted(tx, "business_rule")
         if batch:
             self.global_ledger.append(
                 self.global_ledger.next_block(batch, timestamp=self.sim.now)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.errors import ConfigError
+from repro.common.driver import TxRecord
 from repro.common.types import Transaction
 from repro.consensus import PROTOCOLS, ConsensusCluster
 from repro.sharding.ahl import Decision, Done, Prepare, Vote
@@ -129,7 +130,8 @@ class SaguaroSystem(ShardedSystem):
 
     # -- routing -------------------------------------------------------------------
 
-    def _route(self, tx: Transaction) -> None:
+    def _ingest(self, record: TxRecord) -> None:
+        tx = record.tx
         if len(tx.involved) == 1:
             shard = next(iter(tx.involved))
             self.clusters[shard].submit(("intra", tx.tx_id))
@@ -210,11 +212,11 @@ class SaguaroSystem(ShardedSystem):
                 self._cross_writes[tx_id] = rwset.writes
                 self._done[tx_id] = set()
             else:
-                self.abort(tx, "business_rule")
+                self._mark_aborted(tx, "business_rule")
             for shard in sorted(tx.involved):
                 port.send(f"{shard}-port", Decision(tx_id=tx_id, commit=commit))
         elif kind == "decide-abort":
-            self.abort(tx, "lock_conflict")
+            self._mark_aborted(tx, "lock_conflict")
             for shard in sorted(tx.involved):
                 port.send(f"{shard}-port", Decision(tx_id=tx_id, commit=False))
 
@@ -235,7 +237,7 @@ class SaguaroSystem(ShardedSystem):
                 done = self._done.setdefault(message.tx_id, set())
                 done.add(message.shard)
                 if done == tx.involved and message.tx_id in self._cross_writes:
-                    self.commit(tx)
+                    self._mark_committed(tx)
                     self.sim.metrics.incr("shard.cross_commits")
 
         return handler

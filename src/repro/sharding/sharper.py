@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.common.driver import TxRecord
 from repro.common.types import Transaction
 from repro.sharding.clusters import ShardedSystem
 
@@ -63,10 +64,12 @@ class SharPerSystem(ShardedSystem):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._acks: dict[str, dict[str, bool]] = {}
+        self._cross_writes: dict[str, dict[str, Any]] = {}
 
     # -- routing ------------------------------------------------------------
 
-    def _route(self, tx: Transaction) -> None:
+    def _ingest(self, record: TxRecord) -> None:
+        tx = record.tx
         if len(tx.involved) == 1:
             shard = next(iter(tx.involved))
             self.clusters[shard].submit(("intra", tx.tx_id))
@@ -135,18 +138,17 @@ class SharPerSystem(ShardedSystem):
             self.ports[initiator].send(f"{shard}-port", outcome)
         if commit:
             assert rwset is not None
-            self._cross_writes = getattr(self, "_cross_writes", {})
             self._cross_writes[tx.tx_id] = rwset.writes
-            self.commit(tx)
+            self._mark_committed(tx)
             self.sim.metrics.incr("shard.cross_commits")
         else:
             reason = "lock_conflict" if rwset is None else "business_rule"
-            self.abort(tx, reason)
+            self._mark_aborted(tx, reason)
 
     def _apply_cross(self, shard: str, message: CrossApply) -> None:
         tx = self._tx_by_id[message.tx_id]
         if message.commit:
-            writes = getattr(self, "_cross_writes", {}).get(message.tx_id, {})
+            writes = self._cross_writes.get(message.tx_id, {})
             self.apply_writes(shard, writes)
             self.append_to_ledger(shard, tx)
         self._locks[shard].release(message.tx_id)

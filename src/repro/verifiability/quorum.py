@@ -29,8 +29,8 @@ import secrets
 from dataclasses import dataclass
 from typing import Any
 
-from repro.common.errors import ConfigError, CryptoError, ValidationError
-from repro.common.metrics import RunResult
+from repro.common.driver import RunDriver, TxRecord
+from repro.common.errors import CryptoError, ValidationError
 from repro.common.types import Transaction
 from repro.consensus import PROTOCOLS, ConsensusCluster
 from repro.crypto.commitments import PedersenCommitment, PedersenParams
@@ -146,14 +146,18 @@ class PrivateWallet:
         return transfer, amount, amount_blinding
 
 
-class QuorumSystem:
+class QuorumSystem(RunDriver):
     """A Quorum network ordering public and private transactions."""
+
+    name = "quorum"
+    extra_prefixes = ("quorum.",)
 
     def __init__(
         self,
         config: QuorumConfig | None = None,
         registry: ContractRegistry | None = None,
     ) -> None:
+        super().__init__()
         self.config = config or QuorumConfig()
         self.registry = registry or standard_registry()
         group = (
@@ -179,13 +183,6 @@ class QuorumSystem:
         self.commitments: dict[str, int] = {}
         self.account_keys: dict[str, int] = {}  # account -> owner pubkey
         self._height = 0
-        self._public_txs: dict[str, Transaction] = {}
-        self._private_txs: dict[str, PrivateTransfer] = {}
-        self._submit_times: dict[str, float] = {}
-        self._commit_times: dict[str, float] = {}
-        self._aborted: dict[str, str] = {}
-        self._pending: list[tuple[str, str]] = []  # (kind, tx id)
-        self._ran = False
 
     # -- accounts ---------------------------------------------------------------
 
@@ -201,42 +198,21 @@ class QuorumSystem:
     # -- submission -----------------------------------------------------------------
 
     def submit_public(self, tx: Transaction) -> None:
-        self._public_txs[tx.tx_id] = tx
-        self._pending.append(("public", tx.tx_id))
+        self.submit(tx)
 
     def submit_private(self, transfer: PrivateTransfer) -> None:
-        self._private_txs[transfer.tx_id] = transfer
-        self._pending.append(("private", transfer.tx_id))
+        self.submit(transfer)
 
-    # -- run ----------------------------------------------------------------------------
+    def _arrival_delay(self, tx: Transaction | PrivateTransfer) -> float:
+        # A private transfer reaches the orderers only once the client
+        # has generated its proofs.
+        if isinstance(tx, PrivateTransfer):
+            return self.config.zkp_prove_cost
+        return 0.0
 
-    def run(self) -> RunResult:
-        if self._ran:
-            raise ConfigError("a QuorumSystem runs exactly once")
-        self._ran = True
-        interval = (
-            1.0 / self.config.arrival_rate if self.config.arrival_rate else 0.0
-        )
-        at = 0.0
-        for kind, tx_id in self._pending:
-            self._submit_times[tx_id] = at
-            delay = self.config.zkp_prove_cost if kind == "private" else 0.0
-
-            def arrive(k=kind, t=tx_id) -> None:
-                self.cluster.submit((k, t), via=self._reference)
-
-            self.sim.schedule_at(at + delay, arrive)
-            at += interval
-        total = len(self._pending)
-        horizon = self.config.max_time
-        while self.sim.now < horizon:
-            if len(self._commit_times) + len(self._aborted) >= total:
-                break
-            before = self.sim.now
-            processed = self.sim.run(until=min(horizon, self.sim.now + 0.5))
-            if processed == 0 and self.sim.now == before:
-                break
-        return self._build_result()
+    def _ingest(self, record: TxRecord) -> None:
+        kind = "private" if isinstance(record.tx, PrivateTransfer) else "public"
+        self.cluster.submit((kind, record.tx.tx_id), via=self._reference)
 
     # -- ordered records --------------------------------------------------------------------
 
@@ -245,26 +221,26 @@ class QuorumSystem:
             return
         kind, tx_id = value
         if kind == "public":
-            self._apply_public(self._public_txs[tx_id])
+            self._apply_public(self._tx_by_id[tx_id])
         else:
             # Every validator verifies the proofs; charge the modelled
             # CPU cost once on the critical path.
             self.sim.metrics.incr("quorum.zkp_verifications", self.config.orderers)
             self.sim.schedule(
                 self.config.zkp_verify_cost,
-                lambda: self._apply_private(self._private_txs[tx_id]),
+                lambda: self._apply_private(self._tx_by_id[tx_id]),
             )
 
     def _apply_public(self, tx: Transaction) -> None:
         rwset = execute_with_capture(self.registry, tx, self.store)
         self._height += 1
         if not rwset.ok:
-            self._aborted[tx.tx_id] = "business_rule"
+            self._mark_aborted(tx, "business_rule")
             return
         self.store.apply_writes(rwset.writes, Version(self._height, 0))
         block = self.ledger.next_block([tx], timestamp=self.sim.now)
         self.ledger.append(block)
-        self._commit_times[tx.tx_id] = self.sim.now
+        self._mark_committed(tx)
         self.sim.metrics.incr("quorum.public_commits")
 
     def verify_private(self, transfer: PrivateTransfer) -> bool:
@@ -309,7 +285,7 @@ class QuorumSystem:
     def _apply_private(self, transfer: PrivateTransfer) -> None:
         self._height += 1
         if not self.verify_private(transfer):
-            self._aborted[transfer.tx_id] = "zkp_rejected"
+            self._mark_aborted(transfer, "zkp_rejected")
             self.sim.metrics.incr("quorum.zkp_rejections")
             return
         group = self.params.group
@@ -327,24 +303,5 @@ class QuorumSystem:
         )
         block = self.ledger.next_block([marker], timestamp=self.sim.now)
         self.ledger.append(block)
-        self._commit_times[transfer.tx_id] = self.sim.now
+        self._mark_committed(transfer)
         self.sim.metrics.incr("quorum.private_commits")
-
-    def _build_result(self) -> RunResult:
-        result = RunResult(system="quorum")
-        last = 0.0
-        for tx_id, commit_time in self._commit_times.items():
-            result.committed += 1
-            result.latencies.record(commit_time - self._submit_times[tx_id])
-            last = max(last, commit_time)
-        result.aborted = len(self._aborted) + (
-            len(self._pending) - len(self._commit_times) - len(self._aborted)
-        )
-        result.duration = last if last > 0 else self.sim.now
-        result.messages = int(self.sim.metrics.get("net.messages"))
-        result.extra = {
-            key: val
-            for key, val in self.sim.metrics.snapshot().items()
-            if key.startswith("quorum.")
-        }
-        return result

@@ -29,8 +29,8 @@ import secrets
 from dataclasses import dataclass
 from typing import Any
 
+from repro.common.driver import RunDriver, TxRecord
 from repro.common.errors import ConfigError, ValidationError
-from repro.common.metrics import RunResult
 from repro.consensus import PROTOCOLS, ConsensusCluster
 from repro.crypto.group import SchnorrGroup, simulation_group
 from repro.sim.core import Simulation
@@ -108,7 +108,7 @@ class TokenizedClaim:
     id never reaches the ledger (anonymity audit in the tests).
     """
 
-    claim_id: str
+    tx_id: str
     pseudonym: str
     platform: str
     task: str
@@ -129,8 +129,12 @@ class SeparConfig:
     token_verify_cost: float = 0.0005
 
 
-class SeparSystem:
+class SeparSystem(RunDriver):
     """The shared multi-platform ledger enforcing token spends."""
+
+    name = "separ"
+    extra_prefixes = ("separ.",)
+    abort_metric = "separ.reject."
 
     def __init__(
         self,
@@ -140,6 +144,7 @@ class SeparSystem:
     ) -> None:
         if len(platforms) < 2:
             raise ConfigError("Separ targets multi-platform settings")
+        super().__init__()
         self.platforms = list(platforms)
         self.authority = authority
         self.config = config or SeparConfig()
@@ -158,12 +163,7 @@ class SeparSystem:
         self._reference = self.cluster.config.replica_ids[0]
         self.spent_serials: set[str] = set()
         self.committed_claims: list[TokenizedClaim] = []
-        self._claims: dict[str, TokenizedClaim] = {}
-        self._submit_times: dict[str, float] = {}
-        self._commit_times: dict[str, float] = {}
         self._rejected: dict[str, str] = {}
-        self._pending: list[str] = []
-        self._ran = False
 
     # -- client helpers -----------------------------------------------------------
 
@@ -178,7 +178,7 @@ class SeparSystem:
                 f"got {len(tokens)}"
             )
         return TokenizedClaim(
-            claim_id=secrets.token_hex(8),
+            tx_id=secrets.token_hex(8),
             pseudonym=pseudonym or f"{claim.platform}:{secrets.token_hex(4)}",
             platform=claim.platform,
             task=claim.task,
@@ -186,10 +186,6 @@ class SeparSystem:
             week=claim.week,
             tokens=tuple(tokens),
         )
-
-    def submit(self, claim: TokenizedClaim) -> None:
-        self._claims[claim.claim_id] = claim
-        self._pending.append(claim.claim_id)
 
     # -- validation -----------------------------------------------------------------
 
@@ -211,37 +207,13 @@ class SeparSystem:
 
     # -- run --------------------------------------------------------------------------
 
-    def run(self) -> RunResult:
-        if self._ran:
-            raise ConfigError("a SeparSystem runs exactly once")
-        self._ran = True
-        interval = (
-            1.0 / self.config.arrival_rate if self.config.arrival_rate else 0.0
-        )
-        at = 0.0
-        for claim_id in self._pending:
-            self._submit_times[claim_id] = at
-
-            def arrive(c=claim_id) -> None:
-                self.cluster.submit(c, via=self._reference)
-
-            self.sim.schedule_at(at, arrive)
-            at += interval
-        total = len(self._pending)
-        horizon = self.config.max_time
-        while self.sim.now < horizon:
-            if len(self._commit_times) + len(self._rejected) >= total:
-                break
-            before = self.sim.now
-            processed = self.sim.run(until=min(horizon, self.sim.now + 0.5))
-            if processed == 0 and self.sim.now == before:
-                break
-        return self._build_result()
+    def _ingest(self, record: TxRecord) -> None:
+        self.cluster.submit(record.tx.tx_id, via=self._reference)
 
     def _on_decide(self, node_id: str, sequence: int, value: Any) -> None:
         if node_id != self._reference:
             return
-        claim = self._claims[value]
+        claim = self._tx_by_id[value]
         cost = self.config.token_verify_cost * max(1, len(claim.tokens))
         self.sim.schedule(cost, lambda: self._apply(claim))
 
@@ -251,12 +223,12 @@ class SeparSystem:
             "separ.token_verifications", len(claim.tokens)
         )
         if reason is not None:
-            self._rejected[claim.claim_id] = reason
-            self.sim.metrics.incr(f"separ.reject.{reason}")
+            self._rejected[claim.tx_id] = reason
+            self._mark_aborted(claim, reason)
             return
         self.spent_serials.update(token.serial for token in claim.tokens)
         self.committed_claims.append(claim)
-        self._commit_times[claim.claim_id] = self.sim.now
+        self._mark_committed(claim)
         self.sim.metrics.incr("separ.commits")
 
     # -- audits & queries -----------------------------------------------------------------
@@ -274,22 +246,3 @@ class SeparSystem:
 
     def rejection_reasons(self) -> dict[str, str]:
         return dict(self._rejected)
-
-    def _build_result(self) -> RunResult:
-        result = RunResult(system="separ")
-        last = 0.0
-        for claim_id, commit_time in self._commit_times.items():
-            result.committed += 1
-            result.latencies.record(commit_time - self._submit_times[claim_id])
-            last = max(last, commit_time)
-        result.aborted = len(self._rejected) + (
-            len(self._pending) - len(self._commit_times) - len(self._rejected)
-        )
-        result.duration = last if last > 0 else self.sim.now
-        result.messages = int(self.sim.metrics.get("net.messages"))
-        result.extra = {
-            key: val
-            for key, val in self.sim.metrics.snapshot().items()
-            if key.startswith("separ.")
-        }
-        return result

@@ -129,10 +129,10 @@ class TestMultiChannelFabric:
     def test_cross_channel_tx_replicated_to_both(self):
         workload, system = make_channels(internal_fraction=0.0, n_txs=20)
         system.run()
-        cross = [
-            c for c in system._commit_times
-            if len(system._tx_channels[c]) > 1
-        ]
+        cross = sorted(
+            c for c in system.committed_tx_ids()
+            if len(system.record(c).tx.involved) > 1
+        )
         assert cross
         assert system.ledger_copies_of(cross[0]) >= 2
 

@@ -98,8 +98,9 @@ class TestEveryShardedSystem:
             if key.startswith(("checking:", "savings:"))
         )
         expected = 0
+        committed = system.committed_tx_ids()
         for tx in txs:
-            if tx.tx_id not in system._commit_times:
+            if tx.tx_id not in committed:
                 continue
             if tx.contract == "deposit_checking":
                 expected += tx.args[1]
@@ -123,9 +124,8 @@ class TestShardedLedgerSystems:
         _, system, txs = make_system(SharPerSystem, cross=0.5, seed=7)
         system.run()
         cross = [t for t in txs if t.tx_type is TxType.CROSS_SHARD]
-        committed_cross = [
-            t for t in cross if t.tx_id in system._commit_times
-        ]
+        committed = system.committed_tx_ids()
+        committed_cross = [t for t in cross if t.tx_id in committed]
         assert committed_cross
         sample = committed_cross[0]
         for shard in sample.involved:
@@ -134,8 +134,9 @@ class TestShardedLedgerSystems:
     def test_intra_shard_tx_stays_off_other_ledgers(self):
         _, system, txs = make_system(SharPerSystem, seed=8)
         system.run()
+        committed = system.committed_tx_ids()
         intra = next(t for t in txs if len(t.involved) == 1
-                     and t.tx_id in system._commit_times)
+                     and t.tx_id in committed)
         home = next(iter(intra.involved))
         for shard, ledger in system.ledgers.items():
             found = ledger.find_transaction(intra.tx_id)
@@ -171,11 +172,10 @@ class TestShardedLedgerSystems:
         # Latency split by coordinator level.
         fog_lat, cloud_lat = [], []
         for tx in txs:
-            if len(tx.involved) < 2 or tx.tx_id not in system._commit_times:
+            record = system.record(tx.tx_id)
+            if len(tx.involved) < 2 or not record.committed:
                 continue
-            latency = (
-                system._commit_times[tx.tx_id] - system._submit_times[tx.tx_id]
-            )
+            latency = record.latency
             if system.lca_of(set(tx.involved)) == "cloud":
                 cloud_lat.append(latency)
             else:

@@ -98,15 +98,13 @@ class TestParallelCrossShard:
                 involved={workload.shard_of(customer)},
             ))
         # Two cross txs over disjoint shard pairs (0-1 and 2-3).
-        system.submit(payment("c10", "c60"))
-        system.submit(payment("c110", "c160"))
+        payments = [payment("c10", "c60"), payment("c110", "c160")]
+        for tx in payments:
+            system.submit(tx)
         result = system.run()
         assert result.committed == 6
-        cross_latencies = sorted(
-            system._commit_times[tx_id] - system._submit_times[tx_id]
-            for tx_id in system._cross_ids
-            if tx_id in system._commit_times
-        )
+        records = [system.record(tx.tx_id) for tx in payments]
+        cross_latencies = sorted(r.latency for r in records if r.committed)
         assert len(cross_latencies) == 2
         # Parallel: the slower one takes at most ~40% longer than the
         # faster one, not 2x (which serialization would cause).
