@@ -337,14 +337,14 @@ def separ_row(seed: int) -> str:
     workload = CrowdworkWorkload(workers=8, platforms=3, seed=seed)
     separ = SeparSystem(workload.platform_ids, authority, SeparConfig(seed=seed))
     wallets = {w: authority.issue(w, 0, 40) for w in workload.worker_ids}
-    spent = []
     for _ in range(30):
         claim = workload.next_claim(0)
         wallet = wallets[claim.worker]
         if len(wallet) >= claim.hours:
             spent = [wallet.pop() for _ in range(claim.hours)]
             separ.submit(SeparSystem.tokenize(claim, spent))
-    separ.submit(SeparSystem.tokenize(claim, spent))
+            last = claim, spent
+    separ.submit(SeparSystem.tokenize(*last))
     result = separ.run()
     claims = [(c.platform, c.task, c.hours, c.week)
               for c in separ.committed_claims]
