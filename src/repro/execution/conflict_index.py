@@ -257,9 +257,9 @@ def wave_is_conflict_free(txs: Sequence) -> bool:
 class KeyLockIndex:
     """No-wait lock table with O(touched) probes and O(held) release.
 
-    Drop-in for the sharded systems' per-shard ``dict[key, holder]``
-    whose conflict check rebuilt a set of every held key per
-    transaction and whose release scanned the whole table.
+    The lock table of every shard of the sharded systems and of every
+    multi-channel Fabric channel: a probe looks up only the keys a
+    transaction touches, a release visits only the keys its holder owns.
     """
 
     __slots__ = ("_holder_of", "_keys_of")
