@@ -13,7 +13,8 @@ over both ordering fault models: what each block committed, the final
 state root, the result row with its ``abort.``/``exec.``/``order.``
 counters, and the message, byte and clock totals. The same file pins
 the families outside ``core.SYSTEMS`` on their own workloads: the four
-sharded designs over cross-shard SmallBank (``sharding/<name>``),
+sharded designs over cross-shard SmallBank, once at 30 % cross-shard
+(``sharding/<name>``) and once contended (``sharding-contended/<name>``),
 Caper and multi-channel Fabric over the supply chain (``caper``,
 ``channels``), SEPAR over crowdwork claims (``separ``), Quorum over
 public and private transfers (``quorum``) and the HTLC atomic swap
@@ -272,10 +273,22 @@ def family_digest(system, result, stores, ledgers) -> str:
     )))
 
 
-def sharded_row(system: str, seed: int) -> str:
-    """One sharded design over SmallBank: 3 clusters, 30 % cross-shard."""
-    workload = SmallBankWorkload(n_customers=60, n_shards=3,
-                                 cross_shard_fraction=0.3, seed=seed)
+#: SmallBank shapes of the sharded rows, by row-name prefix. The
+#: contended shape (few customers, 70 % cross-shard, low balances) is
+#: there for the cross-shard commit paths: each sharded-ledger design
+#: commits some cross-shard txs and aborts others on a lock conflict
+#: and on a business rule, at both seeds.
+SHARDED_WORKLOADS = {
+    "sharding": {"n_customers": 60, "cross_shard_fraction": 0.3},
+    "sharding-contended": {"n_customers": 30, "cross_shard_fraction": 0.7,
+                           "initial_balance": 40},
+}
+
+
+def sharded_row(shape: str, system: str, seed: int) -> str:
+    """One sharded design over SmallBank: 3 clusters, 60 generated txs."""
+    workload = SmallBankWorkload(n_shards=3, seed=seed,
+                                 **SHARDED_WORKLOADS[shape])
 
     def shard_of_key(key: str) -> str:
         return workload.shard_of(key.split(":")[1])
@@ -418,8 +431,8 @@ def atomicswap_row(seed: int) -> str:
 
 #: Families outside ``core.SYSTEMS``, by row-name prefix.
 FAMILY_ROWS = {
-    **{f"sharding/{system}": partial(sharded_row, system)
-       for system in SHARDED_SYSTEMS},
+    **{f"{shape}/{system}": partial(sharded_row, shape, system)
+       for shape in SHARDED_WORKLOADS for system in SHARDED_SYSTEMS},
     "caper": caper_row,
     "channels": channels_row,
     "separ": separ_row,
