@@ -32,7 +32,7 @@ from repro.common.errors import ConfigError, ValidationError
 from repro.common.types import Transaction, TxType
 from repro.consensus import PROTOCOLS, ConsensusCluster
 from repro.execution.contracts import ContractRegistry
-from repro.execution.rwsets import execute_with_capture
+from repro.execution.rwsets import RoutedView, execute_with_capture
 from repro.ledger.dag import CaperDag
 from repro.ledger.store import StateStore, Version
 from repro.sim.core import Simulation
@@ -52,23 +52,6 @@ class CaperConfig:
     seed: int = 0
     max_time: float = 600.0
     arrival_rate: float | None = 2000.0
-
-
-class _CompositeView:
-    """Read view across the stores of the enterprises a cross-enterprise
-    transaction involves; reads are routed to the key's owner."""
-
-    def __init__(self, stores: dict[str, StateStore], owner_fn) -> None:
-        self._stores = stores
-        self._owner_fn = owner_fn
-
-    def get_versioned(self, key: str):
-        owner = self._owner_fn(key)
-        store = self._stores.get(owner)
-        if store is None:
-            # Unowned/public key: fall back to the first involved store.
-            store = next(iter(self._stores.values()))
-        return store.get_versioned(key)
 
 
 def key_owner(key: str) -> str | None:
@@ -185,7 +168,7 @@ class CaperSystem(RunDriver):
 
     def _commit_cross(self, tx: Transaction) -> None:
         involved = sorted(tx.involved) or list(self.enterprises)
-        view = _CompositeView(
+        view = RoutedView(
             {e: self.stores[e] for e in involved if e in self.stores}, key_owner
         )
         rwset = execute_with_capture(self.registry, tx, view)

@@ -10,7 +10,7 @@ operate on these captured sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.common.errors import ExecutionError
 from repro.common.types import Transaction
@@ -91,3 +91,25 @@ def execute_with_capture(
         result=result,
         cost=cost,
     )
+
+
+class RoutedView:
+    """Read view over several stores, routing each key to its owner's.
+
+    ``owner_of`` names a key's owner (a shard, an enterprise); a key
+    whose owner has no store here reads from the first store.
+    """
+
+    def __init__(
+        self,
+        stores: dict[str, StateStore | StateSnapshot],
+        owner_of: Callable[[str], str | None],
+    ) -> None:
+        self._stores = stores
+        self._owner_of = owner_of
+
+    def get_versioned(self, key: str):
+        store = self._stores.get(self._owner_of(key))
+        if store is None:
+            store = next(iter(self._stores.values()))
+        return store.get_versioned(key)

@@ -6,10 +6,17 @@ Four systems spanning the design space:
 System         Ledger          Cross-shard processing
 =============  ==============  =======================================
 ResilientDB    single, global  none — every cluster executes everything
-AHL            sharded         centralized: reference committee, 2PC/2PL
+AHL            sharded         2PC/2PL coordinated by the reference
+                               committee
 SharPer        sharded         decentralized flattened consensus
-Saguaro        sharded         hierarchical: LCA cluster coordinates
+Saguaro        sharded         2PC/2PL coordinated by the LCA cluster
 =============  ==============  =======================================
+
+AHL and Saguaro share one 2PC/2PL,
+:class:`~repro.sharding.clusters.CoordinatedShardedSystem`, and differ
+only in the cluster they pick to coordinate. SharPer and both of them
+share the per-shard steps of :class:`ShardedSystem`: lock the keys a
+shard owns, then apply or roll back.
 
 Plus the committee-safety calculator behind AHL's "80 nodes instead of
 ~600" claim (:func:`~repro.sharding.ahl.min_committee_size`).

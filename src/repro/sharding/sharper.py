@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.driver import TxRecord
-from repro.common.types import Transaction
 from repro.sharding.clusters import ShardedSystem
 
 
@@ -64,7 +63,6 @@ class SharPerSystem(ShardedSystem):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._acks: dict[str, dict[str, bool]] = {}
-        self._cross_writes: dict[str, dict[str, Any]] = {}
 
     # -- routing ------------------------------------------------------------
 
@@ -90,24 +88,13 @@ class SharPerSystem(ShardedSystem):
         if kind == "intra":
             self.commit_intra(shard, tx)
         elif kind == "cross-anchor":
-            self._anchor_cross(shard, tx)
-
-    def _anchor_cross(self, shard: str, tx: Transaction) -> None:
-        """Local consensus anchored the cross-shard tx in this shard's
-        log; lock its keys and ACK the initiator."""
-        touched = {
-            op.key
-            for op in tx.declared_ops
-            if self.shard_of_key(op.key) == shard
-        }
-        locks = self._locks[shard]
-        ok = not locks.conflicts(touched)
-        if ok:
-            locks.acquire(touched, tx.tx_id)
-        initiator = min(tx.involved)
-        self.ports[shard].send(
-            f"{initiator}-port", CrossAck(tx_id=tx.tx_id, shard=shard, ok=ok)
-        )
+            # Local consensus anchored the cross-shard tx in this shard's
+            # log: lock its keys and ACK the initiator.
+            ok = self.lock_owned_keys(shard, tx)
+            self.ports[shard].send(
+                f"{min(tx.involved)}-port",
+                CrossAck(tx_id=tx.tx_id, shard=shard, ok=ok),
+            )
 
     # -- port traffic -------------------------------------------------------------
 
@@ -119,7 +106,9 @@ class SharPerSystem(ShardedSystem):
         elif isinstance(message, CrossAck):
             self._collect_ack(message)
         elif isinstance(message, CrossApply):
-            self._apply_cross(shard, message)
+            self.apply_or_roll_back(
+                shard, self._tx_by_id[message.tx_id], message.commit
+            )
 
     def _collect_ack(self, message: CrossAck) -> None:
         tx = self._tx_by_id[message.tx_id]
@@ -145,10 +134,3 @@ class SharPerSystem(ShardedSystem):
             reason = "lock_conflict" if rwset is None else "business_rule"
             self._mark_aborted(tx, reason)
 
-    def _apply_cross(self, shard: str, message: CrossApply) -> None:
-        tx = self._tx_by_id[message.tx_id]
-        if message.commit:
-            writes = self._cross_writes.get(message.tx_id, {})
-            self.apply_writes(shard, writes)
-            self.append_to_ledger(shard, tx)
-        self._locks[shard].release(message.tx_id)

@@ -96,10 +96,11 @@ class SmallBankWorkload:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_customers < 2:
-            raise ConfigError("SmallBank needs at least two customers")
         if self.n_shards < 1:
             raise ConfigError("n_shards must be >= 1")
+        # Two per shard, so an intra-shard payment has a payee.
+        if self.n_customers < 2 * self.n_shards:
+            raise ConfigError("SmallBank needs at least two customers per shard")
         self._rng = random.Random(self.seed)
 
     # -- sharding helpers ----------------------------------------------------
@@ -112,10 +113,12 @@ class SmallBankWorkload:
     def _customer(self, shard: str | None = None) -> str:
         if shard is None:
             return f"c{self._rng.randrange(self.n_customers)}"
-        per_shard = self.n_customers // self.n_shards
+        # Exactly the customers shard_of maps here: index * n_shards //
+        # n_customers == i  <=>  ceil(i * n / s) <= index < ceil((i+1) * n / s).
         shard_index = int(shard.removeprefix("shard"))
-        lo = shard_index * per_shard
-        return f"c{lo + self._rng.randrange(per_shard)}"
+        lo = -(-shard_index * self.n_customers // self.n_shards)
+        hi = -(-(shard_index + 1) * self.n_customers // self.n_shards)
+        return f"c{lo + self._rng.randrange(hi - lo)}"
 
     # -- generation --------------------------------------------------------------
 

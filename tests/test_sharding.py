@@ -4,7 +4,7 @@ and the four clustered/sharded systems."""
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.common.types import TxType
+from repro.common.types import Operation, OpType, Transaction, TxType
 from repro.sharding import (
     AhlSystem,
     ResilientDbSystem,
@@ -119,17 +119,46 @@ class TestEveryShardedSystem:
         assert once() == once()
 
 
+SHARDED_LEDGERS = [SharPerSystem, AhlSystem, SaguaroSystem]
+
+
 class TestShardedLedgerSystems:
-    def test_sharper_cross_txs_commit_on_both_shards(self):
-        _, system, txs = make_system(SharPerSystem, cross=0.5, seed=7)
+    @pytest.mark.parametrize("seed", [1, 11, 61])
+    @pytest.mark.parametrize("cls", SHARDED_LEDGERS)
+    def test_cross_txs_commit_on_every_involved_shard_or_none(self, cls, seed):
+        """Cross-shard atomicity: a committed cross-shard tx is on every
+        involved shard's ledger, an aborted one on none, and no lock is
+        left held once the run is over."""
+        _, system, txs = make_system(cls, cross=0.5, seed=seed)
         system.run()
-        cross = [t for t in txs if t.tx_type is TxType.CROSS_SHARD]
         committed = system.committed_tx_ids()
-        committed_cross = [t for t in cross if t.tx_id in committed]
-        assert committed_cross
-        sample = committed_cross[0]
-        for shard in sample.involved:
-            assert system.ledgers[shard].find_transaction(sample.tx_id)
+        cross = [t for t in txs if t.tx_type is TxType.CROSS_SHARD]
+        assert any(t.tx_id in committed for t in cross)
+        assert any(t.tx_id not in committed for t in cross)
+        for tx in cross:
+            on = {shard for shard, ledger in system.ledgers.items()
+                  if ledger.find_transaction(tx.tx_id)}
+            assert on == (tx.involved if tx.tx_id in committed else set())
+        assert all(len(locks) == 0 for locks in system._locks.values())
+
+    @pytest.mark.parametrize("cls", SHARDED_LEDGERS)
+    def test_tx_touching_a_shard_outside_involved_aborts(self, cls):
+        """A payment declared on shard0 whose payee lives on shard1: no
+        involved shard can apply the payee's write, so the tx must abort
+        without side effects rather than commit and destroy the money."""
+        _, system, _ = make_system(cls, n_shards=2, n_txs=0)
+        payment = Transaction.create(
+            "send_payment", ("c0", "c199", 10),
+            tx_type=TxType.INTRA_SHARD,
+            declared_ops=(Operation(OpType.READ_WRITE, "checking:c0"),
+                          Operation(OpType.READ_WRITE, "checking:c199")),
+            involved={"shard0"},
+        )
+        system.submit(payment)
+        system.run()
+        assert not system.record(payment.tx_id).committed
+        assert system.stores["shard0"].get("checking:c0") == 10_000
+        assert system.stores["shard1"].get("checking:c199") == 10_000
 
     def test_intra_shard_tx_stays_off_other_ledgers(self):
         _, system, txs = make_system(SharPerSystem, seed=8)
@@ -196,8 +225,6 @@ class TestShardedLedgerSystems:
 
     def test_submit_requires_known_shards(self):
         _, system, _ = make_system(SharPerSystem, n_txs=0)
-        from repro.common.types import Transaction
-
         with pytest.raises(ValidationError):
             system.submit(
                 Transaction.create("balance", ("c1",), involved={"mars"})

@@ -102,6 +102,25 @@ class TestSmallBank:
         for shard in set(shards):
             assert shards.count(shard) == 25
 
+    def test_payments_follow_shard_of_when_shards_are_uneven(self):
+        """10 customers over 3 shards hold 4, 3 and 3: every cross-shard
+        payment crosses shards, every intra-shard one stays home, and no
+        customer pays itself."""
+        for fraction in (0.0, 1.0):
+            workload = SmallBankWorkload(
+                n_customers=10, n_shards=3, cross_shard_fraction=fraction,
+                payment_fraction=1.0, query_fraction=0.0, seed=6,
+            )
+            for tx in workload.generate(500):
+                src, dst, _ = tx.args
+                assert src != dst
+                crosses = workload.shard_of(src) != workload.shard_of(dst)
+                assert crosses == (fraction == 1.0)
+
+    def test_every_shard_needs_two_customers(self):
+        with pytest.raises(ConfigError):
+            SmallBankWorkload(n_customers=5, n_shards=3)
+
 
 class TestSupplyChain:
     def test_internal_fraction_one_is_all_internal(self):
