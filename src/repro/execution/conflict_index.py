@@ -30,7 +30,7 @@ possibly out-of-order block decisions into that monotone boundary.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from repro.execution.depgraph import DependencyGraph
 
@@ -226,31 +226,31 @@ class SealTracker:
         return self._next
 
 
-def wave_is_conflict_free(txs: Sequence) -> bool:
-    """Do the declared sets of ``txs`` really commute (no write-write or
-    read-write overlap)?
+def wave_is_conflict_free(
+    key_sets: Iterable[tuple[Collection[str], Collection[str]]],
+) -> bool:
+    """Do the declared ``(read keys, write keys)`` pairs of one wave
+    really commute (no write-write or read-write overlap)?
 
     Defence-in-depth for the process-pool wave executor: a wave produced
-    by the dependency graph is conflict-free *by construction of the
-    declared sets*, so a violation here means a transaction's declaration
-    is inconsistent with the graph that scheduled it — executing such a
-    wave concurrently would be unsound, and the caller degrades to
-    inline serial execution instead. Built on two :class:`KeyLockIndex`
-    tables (writers and readers), so the check is O(keys touched).
+    by the wave leveller is conflict-free *by construction of the declared
+    sets*, so a violation here means the schedule disagrees with the
+    declarations that produced it — executing such a wave concurrently
+    would be unsound, and the caller degrades to inline serial execution
+    instead. Two plain sets (keys written, keys read so far) keep the
+    check O(keys touched).
     """
-    writers = KeyLockIndex()
-    readers = KeyLockIndex()
-    for tx in txs:
-        write_keys = tx.write_keys
-        read_keys = tx.read_keys
+    written: set[str] = set()
+    read: set[str] = set()
+    for read_keys, write_keys in key_sets:
         if (
-            writers.conflicts(write_keys)
-            or readers.conflicts(write_keys)
-            or writers.conflicts(read_keys)
+            not written.isdisjoint(write_keys)
+            or not read.isdisjoint(write_keys)
+            or not written.isdisjoint(read_keys)
         ):
             return False
-        writers.acquire(write_keys, tx.tx_id)
-        readers.acquire(read_keys, tx.tx_id)
+        written.update(write_keys)
+        read.update(read_keys)
     return True
 
 

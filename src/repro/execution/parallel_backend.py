@@ -10,9 +10,11 @@ end-to-end wall-clock methodology).
 
 Design (pool-per-shard with batched IPC, not process-per-transaction):
 
-* The coordinator builds the block's dependency graph from declared
-  read/write sets (:func:`~repro.execution.depgraph.build_dependency_graph`)
-  and decomposes it into conflict-free waves.
+* The coordinator reads each transaction's declared read/write keys
+  once per block (:func:`declared_key_sets`) and levels them into
+  conflict-free waves in one pass (:func:`level_waves`) — the same waves
+  :meth:`~repro.execution.depgraph.DependencyGraph.waves` gives, without
+  building the graph.
 * A fixed pool of forked worker processes — one long-lived "shard" each —
   holds a replica view of the state: the copy-on-write
   :class:`~repro.ledger.store.StateSnapshot` inherited at fork time plus
@@ -27,11 +29,12 @@ Design (pool-per-shard with batched IPC, not process-per-transaction):
 * The coordinator merges replies in block order (deterministic whatever
   the workers' finishing order), applies committed writes with the
   transaction's original ``Version(height, tx_index)``, and — because
-  every intra-block conflict is an edge in the graph — the result is
-  equivalent to serial execution in block order. That claim is *checked*,
-  not assumed: :meth:`ParallelExecutor.execute_block` replays the block
-  serially against the pre-block snapshot and asserts identical commit
-  sets, abort decisions, read/write-set digests, and state digest.
+  every intra-block conflict puts its later transaction in a later
+  wave — the result is equivalent to serial execution in block order.
+  That claim is *checked*, not assumed:
+  :meth:`ParallelExecutor.execute_block` replays the block serially
+  against the pre-block snapshot and asserts identical commit sets,
+  abort decisions, read/write-set digests, and state digest.
 
 Failure handling is graceful degradation, never a wedged pool: a worker
 that raises ships the traceback back (the wave re-runs inline, where a
@@ -58,11 +61,11 @@ from typing import Any, Iterable, Sequence
 import multiprocessing
 
 from repro.common.errors import ConfigError, ExecutionError
-from repro.common.types import Transaction
+from repro.common.types import OpType, Transaction
 from repro.crypto.digests import sha256_hex
 from repro.execution.conflict_index import wave_is_conflict_free
 from repro.execution.contracts import ContractContext, ContractRegistry
-from repro.execution.depgraph import build_dependency_graph, partition_wave
+from repro.execution.depgraph import partition_wave
 from repro.execution.pipeline import ExecutionPipeline
 from repro.execution.rwsets import RWSet, execute_with_capture
 from repro.ledger.block import Block
@@ -238,6 +241,79 @@ def _row_to_rwset(row: ResultRow, tx_id: str) -> RWSet:
     )
 
 
+# -- wave levelling ------------------------------------------------------------
+
+#: One transaction's declared ``(read keys, write keys)``.
+KeySets = tuple[set[str], set[str]]
+
+_READ = OpType.READ
+_WRITE = OpType.WRITE
+
+
+def declared_key_sets(txs: Sequence[Transaction]) -> list[KeySets]:
+    """Each transaction's declared read and write keys, from one pass
+    over its ``declared_ops``.
+
+    The block-local form of ``Transaction.read_keys``/``write_keys``:
+    the leveller and the per-wave conflict re-check both read these, so
+    a block builds them once. A transaction without declared operations
+    cannot be scheduled and raises :class:`ExecutionError`.
+    """
+    key_sets = []
+    for tx in txs:
+        if not tx.declared_ops:
+            raise ExecutionError(
+                f"OXII requires declared operations; tx {tx.tx_id} has none"
+            )
+        reads: set[str] = set()
+        writes: set[str] = set()
+        for op in tx.declared_ops:
+            if op.op_type is not _WRITE:
+                reads.add(op.key)
+            if op.op_type is not _READ:
+                writes.add(op.key)
+        key_sets.append((reads, writes))
+    return key_sets
+
+
+def level_waves(key_sets: Sequence[KeySets]) -> list[list[int]]:
+    """A block's conflict-free waves, in one pass of per-key levels.
+
+    A transaction's level is one more than the highest level of any
+    earlier accessor of a key it writes and of any earlier writer of a
+    key it reads (0 when there is neither) — the longest-path level
+    :meth:`~repro.execution.depgraph.DependencyGraph.waves` computes
+    over ``build_dependency_graph``'s edges, which stays the reference.
+    Wave k lists its members in block order.
+    """
+    accessed: dict[str, int] = {}  # key -> highest level touching it
+    written: dict[str, int] = {}  # key -> highest level writing it
+    waves: list[list[int]] = []
+    for index, (reads, writes) in enumerate(key_sets):
+        level = 0
+        for key in writes:
+            above = accessed.get(key, -1) + 1
+            if above > level:
+                level = above
+        for key in reads:
+            above = written.get(key, -1) + 1
+            if above > level:
+                level = above
+        for key in writes:
+            if written.get(key, -1) < level:
+                written[key] = level
+            if accessed.get(key, -1) < level:
+                accessed[key] = level
+        for key in reads:
+            if accessed.get(key, -1) < level:
+                accessed[key] = level
+        if level == len(waves):
+            waves.append([index])
+        else:
+            waves[level].append(index)
+    return waves
+
+
 # -- worker process ------------------------------------------------------------
 
 # Set in the coordinator immediately before forking, inherited by the
@@ -312,9 +388,6 @@ class ParallelExecutionReport:
     modelled_cost: float = 0.0
     #: Modelled makespan with ``workers`` lanes and a barrier per wave.
     modelled_parallel_seconds: float = 0.0
-    #: Host wall-clock seconds of the parallel execution phase (the
-    #: oracle replay is excluded — it is the checker, not the workload).
-    wall_seconds: float = 0.0
     workers: int = 1
     backend: str = "serial"
     n_waves: int = 0
@@ -322,7 +395,6 @@ class ParallelExecutionReport:
     fallback_waves: int = 0
     oracle_checked: bool = False
     oracle_matches: bool = True
-    commit_indexes: list[int] = field(default_factory=list)
     #: Digest over the block's net committed effects (key, value,
     #: version) — equal digests mean byte-identical state transitions.
     state_digest: str = ""
@@ -358,8 +430,8 @@ class ParallelExecutor:
     :meth:`execute_block` so worker replicas stay in sync — the
     coordinator ships each wave's committed writes as the next wave's
     delta, one IPC round per wave. Before shipping, every wave is
-    re-checked for conflict-freedom; a wave whose declared sets lied
-    runs inline instead.
+    re-checked against its members' declared key sets; a wave that
+    fails runs inline, one transaction at a time, instead.
 
     Use as a context manager, or call :meth:`close`; workers are daemonic
     either way, so leaked executors cannot outlive the parent.
@@ -482,8 +554,8 @@ class ParallelExecutor:
             report.oracle_checked = self.check_oracle
             report.state_digest = block_effects_digest([], height)
             return report
-        graph = build_dependency_graph(txs)
-        waves = graph.waves()
+        key_sets = declared_key_sets(txs)
+        waves = level_waves(key_sets)
         costs = [self.registry.cost(tx.contract) for tx in txs]
         report.n_waves = len(waves)
         report.modelled_parallel_seconds = self._modelled_makespan(
@@ -493,20 +565,16 @@ class ParallelExecutor:
         if self.check_oracle:
             oracle_rwsets = self._serial_oracle(txs, height)
 
-        start = time.perf_counter()
         rwsets: list[RWSet | None] = [None] * n
         for wave in waves:
             EXEC_COUNTERS["waves_executed"] += 1
-            rows = self._run_wave(wave, txs, report)
-            self._merge_wave(rows, rwsets, height)
-        report.wall_seconds = time.perf_counter() - start
+            self._run_wave(wave, txs, key_sets, rwsets, height, report)
 
         report.rwsets = [rwset for rwset in rwsets if rwset is not None]
-        for index, rwset in enumerate(report.rwsets):
+        for rwset in report.rwsets:
             report.modelled_cost += rwset.cost
             if rwset.ok:
                 report.committed += 1
-                report.commit_indexes.append(index)
             else:
                 report.failed += 1
         report.state_digest = block_effects_digest(report.rwsets, height)
@@ -525,26 +593,31 @@ class ParallelExecutor:
         self,
         wave: list[int],
         txs: list[Transaction],
+        key_sets: list[KeySets],
+        rwsets: list[RWSet | None],
+        height: int,
         report: ParallelExecutionReport,
-    ) -> list[tuple[int, RWSet]]:
+    ) -> None:
         if self.pool_alive:
-            if not wave_is_conflict_free([txs[i] for i in wave]):
-                # Declared sets lied about conflict-freedom; shipping
-                # this wave to concurrent workers would be unsound.
+            if not wave_is_conflict_free([key_sets[i] for i in wave]):
+                # The schedule disagrees with the declared sets that
+                # produced it; shipping this wave to concurrent workers
+                # would be unsound.
                 EXEC_COUNTERS["wave_fallbacks"] += 1
                 report.fallback_waves += 1
             else:
                 rows = self._execute_wave_pooled(wave, txs)
                 if rows is not None:
                     EXEC_COUNTERS["waves_pooled"] += 1
-                    return rows
+                    self._merge_wave(rows, rwsets, height)
+                    return
                 EXEC_COUNTERS["wave_fallbacks"] += 1
                 report.fallback_waves += 1
         elif self.workers > 1:
             # Pool was requested but is gone — degraded mode.
             EXEC_COUNTERS["wave_fallbacks"] += 1
             report.fallback_waves += 1
-        return self._execute_wave_inline(wave, txs)
+        self._execute_wave_inline(wave, txs, rwsets, height)
 
     def _execute_wave_pooled(
         self, wave: list[int], txs: list[Transaction]
@@ -590,17 +663,22 @@ class ParallelExecutor:
         return rows
 
     def _execute_wave_inline(
-        self, wave: list[int], txs: list[Transaction]
-    ) -> list[tuple[int, RWSet]]:
+        self,
+        wave: list[int],
+        txs: list[Transaction],
+        rwsets: list[RWSet | None],
+        height: int,
+    ) -> None:
         """In-process execution of one wave against the live store.
 
-        Nothing is applied until the merge step, so every member sees the
-        pre-wave state — the same view pooled workers get.
+        Members run one at a time in block order, each merged before the
+        next starts: serial semantics, so even a wave that failed the
+        conflict re-check ends in the serial engine's state. For a
+        conflict-free wave this is the view pooled workers get.
         """
-        return [
-            (i, execute_with_capture(self.registry, txs[i], self.store))
-            for i in wave
-        ]
+        for i in wave:
+            rwset = execute_with_capture(self.registry, txs[i], self.store)
+            self._merge_wave([(i, rwset)], rwsets, height)
 
     def _merge_wave(
         self,

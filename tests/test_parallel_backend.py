@@ -17,13 +17,16 @@ from repro.common.errors import ConfigError, ExecutionError
 from repro.common.types import Operation, OpType, Transaction
 from repro.execution.conflict_index import wave_is_conflict_free
 from repro.execution.contracts import ContractRegistry, standard_registry
-from repro.execution.depgraph import partition_wave
+from repro.execution import parallel_backend
+from repro.execution.depgraph import build_dependency_graph, partition_wave
 from repro.execution.parallel_backend import (
     EXEC_COUNTERS,
     ParallelExecutor,
     ReplicaStateView,
     block_effects_digest,
+    declared_key_sets,
     execute_block_parallel,
+    level_waves,
     pack_wave_tasks,
     reset_exec_counters,
     resolve_workers,
@@ -266,9 +269,89 @@ class TestIpcPayloads:
         c = Transaction.create(
             "kv_get", ("x",), declared_ops=declared((OpType.READ, "x"))
         )
-        assert wave_is_conflict_free([a, b])
-        assert not wave_is_conflict_free([a, c])
-        assert wave_is_conflict_free([c, c])
+        ka, kb, kc = declared_key_sets([a, b, c])
+        assert wave_is_conflict_free([ka, kb])
+        assert not wave_is_conflict_free([ka, kc])
+        assert wave_is_conflict_free([kc, kc])
+
+
+def assert_levels_match_graph(txs):
+    """The one-pass leveller against the dependency-graph reference."""
+    key_sets = declared_key_sets(txs)
+    assert key_sets == [(tx.read_keys, tx.write_keys) for tx in txs]
+    waves = level_waves(key_sets)
+    assert waves == build_dependency_graph(txs).waves()
+    for wave in waves:
+        assert wave_is_conflict_free([key_sets[i] for i in wave])
+
+
+class TestWaveLevelling:
+    @pytest.mark.parametrize("n_keys", [10, 50, 500, 8000])
+    @pytest.mark.parametrize("theta", [0, 0.2, 0.9, 1.2])
+    def test_kv_waves_match_dependency_graph(self, n_keys, theta):
+        for seed in range(4):
+            for n_txs in (50, 500):
+                assert_levels_match_graph(KvWorkload(
+                    n_keys=n_keys, theta=theta, read_fraction=0.2,
+                    rmw_fraction=0.6, seed=seed,
+                ).generate(n_txs))
+
+    @pytest.mark.parametrize("seed", [53, 59, 61])
+    def test_smallbank_waves_match_dependency_graph(self, seed):
+        workload = SmallBankWorkload(n_customers=40, seed=seed)
+        assert_levels_match_graph(
+            list(workload.setup_transactions()) + workload.generate(300)
+        )
+
+    def test_mixed_op_types_match_dependency_graph(self):
+        R, W, RW = OpType.READ, OpType.WRITE, OpType.READ_WRITE
+        specs = [
+            [(W, "x")], [(R, "x")], [(R, "x"), (W, "y")], [(RW, "y")],
+            [(R, "z")], [(W, "z"), (R, "x")], [(R, "y"), (R, "z")],
+            [(RW, "x"), (RW, "z")], [(R, "w")], [(W, "w"), (W, "v")],
+            [(R, "v"), (RW, "q")], [(R, "q")], [(R, "q")], [(W, "q")],
+        ]
+        txs = [
+            Transaction.create("kv_get", (), declared_ops=declared(*ops))
+            for ops in specs
+        ]
+        assert_levels_match_graph(txs)
+        assert level_waves(declared_key_sets(txs)) == [
+            [0, 4, 8], [1, 2, 5, 9], [3, 10], [6, 11, 12], [7, 13],
+        ]
+
+    def test_key_declared_twice_matches_dependency_graph(self):
+        R, W, RW = OpType.READ, OpType.WRITE, OpType.READ_WRITE
+        txs = [
+            Transaction.create(
+                "kv_get", (), declared_ops=declared((R, "x"), (W, "x"))
+            ),
+            Transaction.create(
+                "kv_get", (), declared_ops=declared((RW, "x"), (RW, "x"))
+            ),
+            Transaction.create(
+                "kv_get", (), declared_ops=declared((R, "y"), (R, "y"))
+            ),
+            Transaction.create(
+                "kv_get", (), declared_ops=declared((W, "y"), (R, "x"))
+            ),
+        ]
+        assert_levels_match_graph(txs)
+        assert declared_key_sets(txs)[0] == ({"x"}, {"x"})
+        assert level_waves(declared_key_sets(txs)) == [[0, 2], [1], [3]]
+
+    def test_pool_path_names_tx_without_declared_ops(self):
+        txs = [
+            Transaction.create(
+                "increment", ("x",),
+                declared_ops=declared((OpType.READ_WRITE, "x")),
+            ),
+            Transaction.create("increment", ("y",)),
+        ]
+        with ParallelExecutor(standard_registry(), StateStore(), 2) as ex:
+            assert ex.pool_alive
+            with pytest.raises(ExecutionError, match=txs[1].tx_id):
+                ex.execute_block(Block.create(1, GENESIS_PREV_HASH, txs))
 
 
 class TestDegradation:
@@ -352,6 +435,54 @@ class TestDegradation:
         assert report.fallback_waves >= 1
         assert report.committed == 12
         assert EXEC_COUNTERS["pool_failures"] == 0
+
+    def test_conflicting_wave_runs_inline_with_pool_alive(
+        self, monkeypatch
+    ):
+        # tx 1 reads what tx 0 writes, so the leveller separates them;
+        # a leveller that put both in one wave must be caught by the
+        # per-wave re-check and run serially, not shipped to the pool.
+        txs = [
+            Transaction.create(
+                "kv_set", ("x", 5), declared_ops=declared((OpType.WRITE, "x"))
+            ),
+            Transaction.create(
+                "increment", ("x",),
+                declared_ops=declared((OpType.READ_WRITE, "x")),
+            ),
+        ] + [
+            Transaction.create(
+                "increment", (f"k{i}",),
+                declared_ops=declared((OpType.READ_WRITE, f"k{i}")),
+            )
+            for i in range(6)
+        ]
+        block = Block.create(1, GENESIS_PREV_HASH, txs)
+        monkeypatch.setattr(
+            parallel_backend, "level_waves",
+            lambda key_sets: [[0, 1], list(range(2, len(key_sets)))],
+        )
+        reset_exec_counters()
+        store = StateStore()
+        with ParallelExecutor(standard_registry(), store, 2) as executor:
+            report = executor.execute_block(block)
+            assert executor.pool_alive
+        assert report.backend == "process-pool"
+        assert report.n_waves == 2
+        assert report.fallback_waves == 1
+        assert EXEC_COUNTERS["wave_fallbacks"] == 1
+        assert EXEC_COUNTERS["waves_pooled"] == 1
+        assert EXEC_COUNTERS["tasks_shipped"] == 6
+        assert report.oracle_checked and report.oracle_matches
+        serial_store = StateStore()
+        serial = execute_block_serially(
+            block, serial_store, standard_registry()
+        )
+        assert [r.digest() for r in report.rwsets] == [
+            r.digest() for r in serial.rwsets
+        ]
+        assert store.as_dict() == serial_store.as_dict()
+        assert store.get("x") == 6
 
     def test_oracle_detects_undeclared_read(self):
         # Two "independent" txs by declaration, but the second secretly
