@@ -162,7 +162,12 @@ class BlockchainSystem(RunDriver):
         batch = self._payload_of.pop(tuple(value), None)
         if batch is None:
             return
-        self._on_block_decided([self._tx_by_id[tx_id] for tx_id in batch])
+        records = [self._records[tx_id] for tx_id in batch]
+        now = self.sim.now
+        for record in records:
+            if record.order is None and not record.terminal:
+                record.order = now
+        self._on_block_decided([record.tx for record in records])
 
     # -- executor timeline --------------------------------------------------------------
 

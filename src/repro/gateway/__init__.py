@@ -1,5 +1,6 @@
-"""Front-door gateway tier: admission, rate limiting, batching, and the
-end-to-end latency ledger (ROADMAP item 1; experiment family E22)."""
+"""Front-door gateway tier: admission, rate limiting and batching in
+front of a system's run driver, and the end-to-end latency report over
+its per-transaction records (experiment family E22)."""
 
 from repro.gateway.core import (
     RETRYABLE_REASONS,
@@ -9,7 +10,7 @@ from repro.gateway.core import (
     GatewayConfig,
     TokenBucket,
 )
-from repro.gateway.ledger import LatencyLedger, LatencyReport, TxTrace
+from repro.gateway.ledger import LatencyReport, fingerprint, latency_report
 from repro.gateway.run import GatewayReport, GatewayRun
 
 __all__ = [
@@ -20,8 +21,8 @@ __all__ = [
     "GatewayConfig",
     "GatewayReport",
     "GatewayRun",
-    "LatencyLedger",
     "LatencyReport",
     "TokenBucket",
-    "TxTrace",
+    "fingerprint",
+    "latency_report",
 ]

@@ -1,32 +1,17 @@
-"""The per-transaction latency ledger behind the E22 experiments.
+"""The latency report and fingerprint behind the E22 experiments.
 
 End-to-end latency methodology (Geyer et al., arXiv:2311.15433): every
-client request is stamped at each pipeline stage — **submit** (the open
-loop fires it at the gateway), **admit** (the gateway accepts it past
-signature check, rate limit and queue bounds), **order** (the block
-holding it is totally ordered by consensus), **commit** (its effects are
-final on the peer) — and the report derives p50/p95/p99 latency and
-goodput from the stamp deltas instead of trusting any single counter.
+client request is stamped at each pipeline stage — submit, admit, order,
+commit — on its :class:`~repro.common.driver.TxRecord`, and the report
+derives p50/p95/p99 latency and goodput from the stamp deltas instead of
+trusting any single counter. Every record ends in exactly one terminal
+status (committed, aborted, shed or timeout), so the report's tallies
+sum to the arrivals — the accounting the DST gateway target audits.
 
-Every transaction reaches exactly one terminal status, loudly:
-
-* ``committed`` — full path, carries all four stamps.
-* ``aborted`` — admitted but rejected by the *system* (e.g. an MVCC
-  conflict in the XOV family); carries the system's abort reason.
-* ``shed`` — rejected by the *gateway* with an explicit reason
-  (``bad-signature`` / ``rate-limited`` / ``queue-full`` /
-  ``overloaded``); never entered the system.
-* ``timeout`` — admitted but unresolved when the run's horizon closed
-  (e.g. its block was stranded by a crash fault).
-
-:meth:`LatencyLedger.finalize` converts every leftover into ``timeout``,
-so "silently lost" is structurally impossible — the DST invariant for
-the gateway target audits exactly this accounting.
-
-The ledger is deterministic: stamps come off the virtual clock, ids off
-the workload's deterministic naming, and :meth:`LatencyLedger.fingerprint`
-hashes the canonical JSON — same-seed runs (serial or forked-parallel)
-must produce byte-identical ledgers.
+The records are deterministic: stamps come off the virtual clock, ids
+off the workload's deterministic naming, and :func:`fingerprint` hashes
+their canonical JSON — same-seed runs (serial or forked-parallel) must
+produce byte-identical fingerprints.
 """
 
 from __future__ import annotations
@@ -34,68 +19,20 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable
 
-from repro.common.errors import ConfigError
+from repro.common.driver import TxRecord
 from repro.common.metrics import LatencyRecorder
 
-#: Terminal statuses a trace may reach (exactly one, exactly once).
-TERMINAL_STATUSES = ("committed", "aborted", "shed", "timeout")
-
-#: Stamps are rounded to this many decimals in serialized ledgers so the
-#: canonical JSON stays readable; 9 decimals ≈ nanosecond resolution,
-#: far below any modelled delay, so rounding never merges two stamps.
+#: Stamps are rounded to this many decimals in the canonical JSON so it
+#: stays readable; 9 decimals ≈ nanosecond resolution, far below any
+#: modelled delay, so rounding never merges two stamps.
 STAMP_DECIMALS = 9
-
-
-def _stamp(value: float) -> float:
-    return round(float(value), STAMP_DECIMALS)
-
-
-class TxTrace:
-    """Lifecycle stamps of one transaction through the front door."""
-
-    __slots__ = (
-        "tx_id", "client", "submit", "admit", "order", "commit",
-        "status", "reason", "attempts",
-    )
-
-    def __init__(self, tx_id: str, client: str, submit: float) -> None:
-        self.tx_id = tx_id
-        self.client = client
-        self.submit = submit
-        self.admit: float | None = None
-        self.order: float | None = None
-        self.commit: float | None = None
-        self.status = "pending"
-        self.reason: str | None = None
-        self.attempts = 1
-
-    @property
-    def terminal(self) -> bool:
-        return self.status in TERMINAL_STATUSES
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "tx_id": self.tx_id,
-            "client": self.client,
-            "submit": _stamp(self.submit),
-            "status": self.status,
-        }
-        for name in ("admit", "order", "commit"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = _stamp(value)
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.attempts != 1:
-            out["attempts"] = self.attempts
-        return out
 
 
 @dataclass
 class LatencyReport:
-    """Percentiles + goodput summary derived from one ledger."""
+    """Percentiles + goodput summary derived from one run's records."""
 
     arrivals: int = 0
     admitted: int = 0
@@ -138,139 +75,79 @@ class LatencyReport:
         return out
 
 
-class LatencyLedger:
-    """Append-mostly registry of :class:`TxTrace` records.
+def latency_report(records: Iterable[TxRecord]) -> LatencyReport:
+    """Tally and percentiles over every record of one run."""
+    report = LatencyReport()
+    end_to_end = LatencyRecorder()
+    admit_lat = LatencyRecorder()
+    first_submit, last_event = None, 0.0
+    for record in records:
+        report.arrivals += 1
+        if first_submit is None or record.submit < first_submit:
+            first_submit = record.submit
+        last_event = max(last_event, record.submit)
+        if record.admit is not None:
+            report.admitted += 1
+            admit_lat.record(max(0.0, record.admit - record.submit))
+            last_event = max(last_event, record.admit)
+        if record.status == "committed":
+            report.committed += 1
+            end_to_end.record(max(0.0, record.commit - record.submit))
+            last_event = max(last_event, record.commit)
+        elif record.status == "aborted":
+            report.aborted += 1
+        elif record.status == "shed":
+            reason = record.reason or "unknown"
+            report.sheds[reason] = report.sheds.get(reason, 0) + 1
+        elif record.status == "timeout":
+            report.timeouts += 1
+    report.duration = (
+        last_event - first_submit if first_submit is not None else 0.0
+    )
+    if end_to_end:
+        report.p50 = end_to_end.percentile(50)
+        report.p95 = end_to_end.percentile(95)
+        report.p99 = end_to_end.percentile(99)
+        report.mean = end_to_end.mean()
+    if admit_lat:
+        report.admit_p99 = admit_lat.percentile(99)
+    if report.duration > 0:
+        report.goodput_tps = report.committed / report.duration
+    return report
 
-    The gateway owns the ``submit``/``admit``/``shed`` transitions; the
-    system integration (``repro.gateway.run``) owns ``order``/``commit``/
-    ``abort``; :meth:`finalize` closes whatever is left as ``timeout``.
-    Double terminal transitions raise — an accounting bug should fail
-    the run, not skew a percentile.
-    """
 
-    def __init__(self) -> None:
-        self._traces: dict[str, TxTrace] = {}
+def _stamp(value: float) -> float:
+    return round(float(value), STAMP_DECIMALS)
 
-    def __len__(self) -> int:
-        return len(self._traces)
 
-    def __iter__(self) -> Iterator[TxTrace]:
-        return iter(self._traces.values())
+def _canonical(record: TxRecord) -> dict[str, Any]:
+    out: dict[str, Any] = {
+        "tx_id": record.tx_id,
+        "client": record.tx.submitter,
+        "submit": _stamp(record.submit),
+        "status": record.status,
+    }
+    for name in ("admit", "order", "commit"):
+        value = getattr(record, name)
+        if value is not None:
+            out[name] = _stamp(value)
+    if record.reason is not None:
+        out["reason"] = record.reason
+    if record.attempts != 1:
+        out["attempts"] = record.attempts
+    return out
 
-    def trace(self, tx_id: str) -> TxTrace:
-        return self._traces[tx_id]
 
-    # -- gateway-side transitions ------------------------------------------
-
-    def submitted(self, tx_id: str, client: str, now: float) -> TxTrace:
-        if tx_id in self._traces:
-            raise ConfigError(f"duplicate ledger submit for {tx_id}")
-        trace = TxTrace(tx_id, client, now)
-        self._traces[tx_id] = trace
-        return trace
-
-    def retried(self, tx_id: str) -> None:
-        self._traces[tx_id].attempts += 1
-
-    def admitted(self, tx_id: str, now: float) -> None:
-        trace = self._traces[tx_id]
-        if trace.terminal:
-            raise ConfigError(f"admit after terminal state for {tx_id}")
-        trace.admit = now
-        trace.status = "admitted"
-
-    def shed(self, tx_id: str, reason: str, now: float) -> None:
-        trace = self._traces[tx_id]
-        if trace.terminal:
-            raise ConfigError(f"shed after terminal state for {tx_id}")
-        trace.status = "shed"
-        trace.reason = reason
-
-    # -- system-side transitions -------------------------------------------
-
-    def ordered(self, tx_id: str, now: float) -> None:
-        trace = self._traces.get(tx_id)
-        if trace is not None and trace.order is None and not trace.terminal:
-            trace.order = now
-
-    def committed(self, tx_id: str, now: float) -> None:
-        trace = self._traces[tx_id]
-        if trace.terminal:
-            raise ConfigError(f"commit after terminal state for {tx_id}")
-        trace.commit = now
-        trace.status = "committed"
-
-    def aborted(self, tx_id: str, reason: str, now: float) -> None:
-        trace = self._traces[tx_id]
-        if trace.terminal:
-            raise ConfigError(f"abort after terminal state for {tx_id}")
-        trace.status = "aborted"
-        trace.reason = reason
-
-    def finalize(self, now: float) -> int:
-        """Close every non-terminal trace as ``timeout``; returns how
-        many were closed. After this, every trace is terminal."""
-        closed = 0
-        for trace in self._traces.values():
-            if not trace.terminal:
-                trace.status = "timeout"
-                trace.reason = trace.reason or "horizon"
-                closed += 1
-        return closed
-
-    # -- reporting ----------------------------------------------------------
-
-    def report(self) -> LatencyReport:
-        report = LatencyReport(arrivals=len(self._traces))
-        end_to_end = LatencyRecorder()
-        admit_lat = LatencyRecorder()
-        first_submit, last_event = None, 0.0
-        for trace in self._traces.values():
-            if first_submit is None or trace.submit < first_submit:
-                first_submit = trace.submit
-            last_event = max(last_event, trace.submit)
-            if trace.admit is not None:
-                report.admitted += 1
-                admit_lat.record(max(0.0, trace.admit - trace.submit))
-                last_event = max(last_event, trace.admit)
-            if trace.status == "committed":
-                report.committed += 1
-                end_to_end.record(max(0.0, trace.commit - trace.submit))
-                last_event = max(last_event, trace.commit)
-            elif trace.status == "aborted":
-                report.aborted += 1
-            elif trace.status == "shed":
-                reason = trace.reason or "unknown"
-                report.sheds[reason] = report.sheds.get(reason, 0) + 1
-            elif trace.status == "timeout":
-                report.timeouts += 1
-        report.duration = (
-            last_event - first_submit if first_submit is not None else 0.0
-        )
-        if end_to_end:
-            report.p50 = end_to_end.percentile(50)
-            report.p95 = end_to_end.percentile(95)
-            report.p99 = end_to_end.percentile(99)
-            report.mean = end_to_end.mean()
-        if admit_lat:
-            report.admit_p99 = admit_lat.percentile(99)
-        if report.duration > 0:
-            report.goodput_tps = report.committed / report.duration
-        return report
-
-    def to_jsonable(self) -> list[dict[str, Any]]:
-        """Canonical serialization: traces in submit order (ties broken
-        by tx_id), every float rounded to :data:`STAMP_DECIMALS`."""
-        return [
-            trace.to_dict()
-            for trace in sorted(
-                self._traces.values(), key=lambda t: (t.submit, t.tx_id)
-            )
-        ]
-
-    def fingerprint(self) -> str:
-        """SHA-256 over the canonical JSON — the byte-identity gate."""
-        canonical = json.dumps(
-            self.to_jsonable(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()
+def fingerprint(records: Iterable[TxRecord]) -> str:
+    """SHA-256 over the canonical JSON of ``records`` — in submit order
+    (ties broken by tx id), every stamp rounded to
+    :data:`STAMP_DECIMALS` — the byte-identity gate."""
+    canonical = json.dumps(
+        [
+            _canonical(record)
+            for record in sorted(records, key=lambda r: (r.submit, r.tx_id))
+        ],
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(canonical.encode()).hexdigest()

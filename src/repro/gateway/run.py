@@ -3,19 +3,22 @@
 :class:`GatewayRun` puts the admission tier of :mod:`repro.gateway.core`
 in front of any architecture from ``repro.core.SYSTEMS`` and drives it
 with an open-loop schedule from
-:class:`~repro.workloads.openloop.OpenLoopWorkload`:
+:class:`~repro.workloads.openloop.OpenLoopWorkload`. It is the system's
+front (:class:`~repro.common.driver.Front`) and replaces none of its
+methods:
 
-* every arrival fires at its own Poisson timestamp on the system's
-  simulator (replacing the system's fixed-interval arrival scheduler),
+* :meth:`GatewayRun.open` fires every arrival at its own Poisson
+  timestamp on the system's simulator,
 * each submission carries a real client signature (HMAC scheme, clients
   enrolled lazily at first sight) which the gateway pre-checks through
   the shared :class:`~repro.crypto.sigcache.SignatureCache`,
-* admitted batches feed the architecture's own ingest path, and the
-  system's decide/commit/abort transitions are observed to stamp the
-  ``order``/``commit`` legs of the latency ledger and to release the
-  gateway's in-flight window.
+* admitted batches feed the architecture's own ingest path, a shed
+  resolves its record through the driver with status ``shed``, and
+  :meth:`GatewayRun.resolved` frees the gateway's in-flight slot of each
+  record the driver resolves.
 
-The result is one :class:`GatewayReport` carrying end-to-end percentile
+The result is one :class:`GatewayReport` over the system's records
+(:class:`~repro.common.driver.TxRecord`): end-to-end percentile
 latencies, goodput, and a complete shed/abort/timeout accounting —
 ``arrivals == committed + aborted + shed + timeouts`` always, which is
 the "nothing is silently lost" invariant the DST gateway target audits
@@ -25,14 +28,14 @@ under crash and partition faults.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
-from repro.common.errors import ConfigError
-from repro.common.types import Transaction
+from repro.common.driver import TxRecord
+from repro.common.errors import ConfigError, CryptoError
 from repro.core import SYSTEMS, SystemConfig
 from repro.crypto.signatures import HmacSignatureScheme, MembershipService
 from repro.gateway.core import Gateway, GatewayConfig
-from repro.gateway.ledger import LatencyLedger, LatencyReport
+from repro.gateway.ledger import LatencyReport, fingerprint, latency_report
 from repro.workloads.openloop import Arrival, OpenLoopWorkload
 
 
@@ -94,7 +97,6 @@ class GatewayRun:
         self.membership = membership or MembershipService(
             scheme=HmacSignatureScheme()
         )
-        self.ledger = LatencyLedger()
         self._arrivals: list[Arrival] = workload.arrivals()
         self._ran = False
 
@@ -103,107 +105,54 @@ class GatewayRun:
             self.system.sim,
             self.gateway_config,
             sink=self._ingest_batch,
-            ledger=self.ledger,
             membership=self.membership,
             on_shed=self._on_shed,
         )
-        self._install_hooks()
 
     @property
     def arrivals(self) -> list[Arrival]:
         return self._arrivals
 
-    # -- system hooks -------------------------------------------------------
+    @property
+    def ledger(self) -> Iterable[TxRecord]:
+        """Every arrival's record: its stamps, status and reason."""
+        return self.system.records()
 
-    def _install_hooks(self) -> None:
-        """Observe the system's lifecycle transitions without changing
-        them: arrivals now come through the gateway, ordered blocks and
-        terminal states stamp the latency ledger."""
-        system = self.system
-        system._schedule_arrivals = self._schedule_gateway_arrivals
+    # -- the system's front -------------------------------------------------
 
-        inner_decided = system._on_block_decided
+    def open(self, records: list[TxRecord]) -> None:
+        """Fire each arrival at the gateway at its own time."""
+        schedule_at = self.system.sim.schedule_at
+        for arrival, record in zip(self._arrivals, records):
+            schedule_at(arrival.time, self._fire_arrival, arrival, record)
 
-        def on_block_decided(txs: list[Transaction]) -> None:
-            now = system.sim.now
-            for tx in txs:
-                self.ledger.ordered(tx.tx_id, now)
-            inner_decided(txs)
+    def resolved(self, record: TxRecord) -> None:
+        self.gateway.release(record)
 
-        system._on_block_decided = on_block_decided
-
-        inner_commit = system._mark_committed
-
-        def mark_committed(tx: Transaction) -> None:
-            record = system.record(tx.tx_id)
-            already = record.resolved
-            inner_commit(tx)
-            if not already and record.committed:
-                self.ledger.committed(tx.tx_id, system.sim.now)
-                self.gateway.resolve(tx.tx_id)
-
-        system._mark_committed = mark_committed
-
-        inner_abort = system._mark_aborted
-
-        def mark_aborted(tx: Transaction, reason: str) -> None:
-            record = system.record(tx.tx_id)
-            already = record.resolved
-            inner_abort(tx, reason)
-            if already:
-                return
-            self.gateway.resolve(tx.tx_id)
-            trace = self.ledger.trace(tx.tx_id)
-            if trace.terminal:
-                return  # gateway shed; system-side bookkeeping only
-            if reason == "unresolved":
-                # _build_result closing the run: the tx was admitted but
-                # never reached a decision before the horizon.
-                trace.status = "timeout"
-                trace.reason = trace.reason or "horizon"
-            else:
-                self.ledger.aborted(tx.tx_id, reason, system.sim.now)
-
-        system._mark_aborted = mark_aborted
-
-    def _schedule_gateway_arrivals(self) -> None:
-        for arrival in self._arrivals:
-            record = self.system.record(arrival.tx.tx_id)
-            record.submitted_at = arrival.time
-            self.system.sim.schedule_at(
-                arrival.time, self._fire_arrival, arrival
-            )
-
-    def _fire_arrival(self, arrival: Arrival) -> None:
-        signature = self._sign(arrival)
-        self.gateway.submit(arrival.tx, signature)
+    def _fire_arrival(self, arrival: Arrival, record: TxRecord) -> None:
+        self.gateway.submit(record, self._sign(arrival))
 
     def _sign(self, arrival: Arrival) -> bytes:
         if not self.membership.is_member(arrival.client):
             try:
                 self.membership.register(arrival.client)
-            except Exception:
-                # Revoked mid-run by a churn test: sign with stale key.
-                pass
-        digest = arrival.tx.digest().encode()
-        try:
-            signature = self.membership.sign(arrival.client, digest)
-        except Exception:
-            signature = b"\x00" * 8
+            except CryptoError:
+                pass  # revoked mid-run by a churn test: sign with stale key
+        signature = self.membership.sign(
+            arrival.client, arrival.tx.digest().encode()
+        )
         if not arrival.sig_valid:
             signature = b"forged:" + signature[:8]
         return signature
 
     # -- gateway callbacks --------------------------------------------------
 
-    def _ingest_batch(self, batch: list[Transaction]) -> None:
-        for tx in batch:
-            self.system._ingest(self.system.record(tx.tx_id))
+    def _ingest_batch(self, batch: list[TxRecord]) -> None:
+        for record in batch:
+            self.system._ingest(record)
 
-    def _on_shed(self, tx: Transaction, reason: str) -> None:
-        # Resolve the system-side record so the run can drain; the
-        # dotted metric keeps sheds visible in RunResult.extra too.
-        self.system._mark_aborted(tx, f"gw_{reason.replace('-', '_')}")
+    def _on_shed(self, record: TxRecord, reason: str) -> None:
+        self.system.resolve(record, "shed", reason)
 
     # -- driving ------------------------------------------------------------
 
@@ -213,9 +162,7 @@ class GatewayRun:
         self._ran = True
         for arrival in self._arrivals:
             self.system.submit(arrival.tx)
-        result = self.system.run()
-        self.ledger.finalize(self.system.sim.now)
-        latency = self.ledger.report()
+        result = self.system.run(front=self)
         cache = self.membership.cache_stats
         extra = dict(result.extra)
         extra["sigcache.hits"] = cache["hits"]
@@ -223,9 +170,9 @@ class GatewayRun:
         return GatewayReport(
             system=self.architecture,
             offered_tps=self.workload.config.offered_load,
-            latency=latency,
+            latency=latency_report(self.ledger),
             gateway_counters=dict(self.gateway.counters),
             sheds=self.gateway.shed_counts(),
-            fingerprint=self.ledger.fingerprint(),
+            fingerprint=fingerprint(self.ledger),
             extra=extra,
         )

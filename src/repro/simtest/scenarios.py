@@ -574,7 +574,7 @@ def _run_gateway(scenario: ScenarioSpec, plan: PlanSpec) -> ScenarioResult:
         )
     if latency.arrivals != len(run.arrivals):
         violations.append(
-            f"accounting: ledger saw {latency.arrivals} arrivals, "
+            f"accounting: records show {latency.arrivals} arrivals, "
             f"workload generated {len(run.arrivals)}"
         )
     gateway = run.gateway

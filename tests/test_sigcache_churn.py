@@ -2,6 +2,7 @@
 the admission pre-check path, and bounded LRU behaviour under eviction
 pressure from tens of thousands of distinct signers."""
 
+from repro.common.driver import TxRecord
 from repro.common.types import Operation, OpType, Transaction
 from repro.crypto.signatures import HmacSignatureScheme, MembershipService
 from repro.gateway import Gateway, GatewayConfig
@@ -39,7 +40,7 @@ def test_revocation_beats_cached_verdict_on_the_precheck_path():
     signature = membership.sign("alice", digest)
 
     gateway = make_gateway(membership)
-    assert gateway.submit(tx, signature).admitted
+    assert gateway.submit(TxRecord(tx), signature).admitted
     # The verdict is now cached: re-verifying the same triple is a hit.
     before = membership.cache_stats["hits"]
     assert membership.verify("alice", digest, signature)
@@ -52,7 +53,7 @@ def test_revocation_beats_cached_verdict_on_the_precheck_path():
 
     tx2 = make_tx(1, "alice")
     stale = membership.sign("alice", tx2.digest().encode())
-    decision = gateway.submit(tx2, stale)
+    decision = gateway.submit(TxRecord(tx2), stale)
     assert not decision.admitted
     assert decision.reason == "bad-signature"
 
@@ -66,7 +67,7 @@ def test_gateway_retries_hit_the_cache_not_the_scheme():
     tx = make_tx(0, "bob")
     signature = membership.sign("bob", tx.digest().encode())
     assert membership.cache_stats == {"hits": 0, "misses": 0}
-    gateway.submit(tx, signature)
+    gateway.submit(TxRecord(tx), signature)
     assert membership.cache_stats["misses"] == 1
     # Same triple again (a client retransmit): pure cache hit.
     assert membership.verify("bob", tx.digest().encode(), signature)
@@ -90,7 +91,7 @@ def test_eviction_pressure_with_ten_thousand_distinct_signers():
         membership.register(client)
         tx = make_tx(i, client)
         signatures[i] = (tx, membership.sign(client, tx.digest().encode()))
-        assert gateway.submit(*signatures[i]).admitted
+        assert gateway.submit(TxRecord(tx), signatures[i][1]).admitted
     assert len(membership._cache) == capacity
     assert membership.cache_stats["misses"] == signers
     assert membership.cache_stats["hits"] == 0
