@@ -97,6 +97,9 @@ class TendermintReplica(ConsensusReplica):
         #: drives the round-skip rule (f+1 messages from a higher round
         #: => jump to it).
         self._round_peers: dict[int, set[str]] = {}
+        #: height -> the precommits that decided it, resent to any
+        #: validator still proposing or prevoting at that height.
+        self._commit_votes: dict[int, list[TmPrecommit]] = {}
 
     # -- power accounting ----------------------------------------------------
 
@@ -214,6 +217,16 @@ class TendermintReplica(ConsensusReplica):
         if height is not None and height > self.height:
             self._future.append((src, message))
             return
+        if height is not None and height < self.height:
+            # The sender is stuck at a height we finished, and catch-up
+            # cannot help while fewer than f+1 validators are ahead:
+            # hand it the precommits that decided the height. Never in
+            # reply to a precommit — two validators that are both ahead
+            # would bounce them back and forth forever.
+            if not isinstance(message, TmPrecommit):
+                for vote in self._commit_votes.get(height, ()):
+                    self.send(src, vote)
+            return
         if isinstance(message, ClientRequest):
             digest = digest_of(message.value)
             if digest not in self._decided_digests:
@@ -328,6 +341,11 @@ class TendermintReplica(ConsensusReplica):
         decision = self._any_supermajority(precommits)
         if decision is not False and decision is not None:
             if decision in self._values:
+                self._commit_votes[height] = [
+                    TmPrecommit(height, round_, digest, sender)
+                    for sender, digest in precommits.items()
+                    if digest == decision
+                ]
                 self._decide_height(self._values[decision])
             return
         if decision is None and round_ == self.round:

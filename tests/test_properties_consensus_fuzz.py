@@ -120,6 +120,22 @@ def test_random_within_budget_plan_holds(protocol, seed, plan_seed):
     assert_plan_holds(scenario, plan)
 
 
+@pytest.mark.parametrize("seed,plan_seed", [(12429, 63753), (14477, 17119)])
+def test_tendermint_laggards_finish_a_height_one_validator_left(
+    seed, plan_seed
+):
+    """One crash plus message drops leave a single validator a height
+    ahead. Catch-up needs f+1 validators ahead to vouch, so the laggards
+    finish the height only because the one ahead answers their stale
+    proposals and prevotes with the precommits that decided it."""
+    import random
+
+    scenario = _scenario("tendermint", seed)
+    plan = random_plan(scenario, random.Random(plan_seed))
+    result = run_scenario(scenario, plan)
+    assert result.ok, result.violations
+
+
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 @given(seed=seeds)
 @settings(max_examples=4, deadline=None)
