@@ -8,40 +8,50 @@ while keeping the modelled serial timeline as the correctness oracle
 sets make transaction parallelism safe; Geyer & Mayer's arXiv:2311.15433
 end-to-end wall-clock methodology).
 
-Design (pool-per-shard with batched IPC, not process-per-transaction):
+Design (one lane per worker with batched IPC, not process-per-transaction):
 
 * The coordinator reads each transaction's declared read/write keys
   once per block (:func:`declared_key_sets`) and levels them into
   conflict-free waves in one pass (:func:`level_waves`) — the same waves
   :meth:`~repro.execution.depgraph.DependencyGraph.waves` gives, without
   building the graph.
-* A fixed pool of forked worker processes — one long-lived "shard" each —
-  holds a replica view of the state: the copy-on-write
+* ``workers`` is the lane count. The coordinator is lane 0 and forks
+  ``workers - 1`` long-lived worker processes for the other lanes. Each
+  child holds a replica view of the state: the copy-on-write
   :class:`~repro.ledger.store.StateSnapshot` inherited at fork time plus
   a local overlay fed exclusively by coordinator deltas.
-* Each wave costs exactly **one IPC round**: every worker receives one
-  message carrying the writes committed since the previous wave (the
-  delta) and its deterministic round-robin chunk of the wave
-  (:func:`~repro.execution.depgraph.partition_wave`), and replies with
-  one batch of captured read/write sets. Workers never apply their own
-  results — the coordinator is the single writer, so replicas can never
-  diverge from the authoritative store.
-* The coordinator merges replies in block order (deterministic whatever
-  the workers' finishing order), applies committed writes with the
-  transaction's original ``Version(height, tx_index)``, and — because
-  every intra-block conflict puts its later transaction in a later
-  wave — the result is equivalent to serial execution in block order.
-  That claim is *checked*, not assumed:
-  :meth:`ParallelExecutor.execute_block` replays the block serially
-  against the pre-block snapshot and asserts identical commit sets,
-  abort decisions, read/write-set digests, and state digest.
+* Each wave is split round-robin into one chunk per lane
+  (:func:`~repro.execution.depgraph.partition_wave`) and costs at most
+  **one IPC round**: every child receives one message carrying the
+  writes committed since its last message (the delta) and its chunk,
+  then the coordinator runs chunk 0 against the live store while the
+  children work, and each child replies with one batch of captured
+  read/write sets. A wave whose child chunks are all empty (a one-tx
+  wave) sends nothing; its delta waits for the next round. Nobody
+  applies results while the wave runs — the coordinator is the single
+  writer, so replicas can never diverge from the authoritative store.
+* The coordinator merges its own rows and the replies in block order
+  (deterministic whatever the workers' finishing order), applies
+  committed writes with the transaction's original
+  ``Version(height, tx_index)``, and — because every intra-block
+  conflict puts its later transaction in a later wave — the result is
+  equivalent to serial execution in block order. That claim is
+  *checked*, not assumed: :meth:`ParallelExecutor.execute_block`
+  replays the block serially against the pre-block snapshot and asserts
+  identical commit sets, abort decisions, read/write-set digests, and
+  state digest. The report's :attr:`ParallelExecutionReport.state_digest`
+  is computed on first read, off the execution path.
 
 Failure handling is graceful degradation, never a wedged pool: a worker
 that raises ships the traceback back (the wave re-runs inline, where a
 genuine contract bug propagates exactly as the serial engine would
 propagate it); a worker that times out or dies takes the pool down and
 every remaining wave runs inline, counted in
-``hotpath_counters()["exec.wave_fallbacks"]``.
+``hotpath_counters()["exec.wave_fallbacks"]``. Either way the
+coordinator's own rows for that wave are discarded — nothing was
+applied yet. A contract bug in the coordinator's own chunk propagates
+as in the serial engine, after the round's replies are drained so the
+pipes stay in step.
 
 Worker count resolution (:func:`resolve_workers`) honors
 ``REPRO_BENCH_WORKERS`` and rejects invalid values (0, negative,
@@ -56,6 +66,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 import multiprocessing
@@ -395,9 +406,16 @@ class ParallelExecutionReport:
     fallback_waves: int = 0
     oracle_checked: bool = False
     oracle_matches: bool = True
-    #: Digest over the block's net committed effects (key, value,
-    #: version) — equal digests mean byte-identical state transitions.
-    state_digest: str = ""
+    #: The block's height: every committed write's version in the digest.
+    height: int = 0
+
+    @cached_property
+    def state_digest(self) -> str:
+        """Digest over the block's net committed effects (key, value,
+        version) — equal digests mean byte-identical state transitions.
+        Computed on first read, so executing a block never pays for it.
+        """
+        return block_effects_digest(self.rwsets, self.height)
 
 
 def block_effects_digest(rwsets: Sequence[RWSet], height: int) -> str:
@@ -425,13 +443,15 @@ def block_effects_digest(rwsets: Sequence[RWSet], height: int) -> str:
 class ParallelExecutor:
     """Process-pool wave executor bound to one registry and one store.
 
-    The pool forks at construction, inheriting an O(1) COW snapshot of
-    ``store``; after that, **every write to the store must flow through**
-    :meth:`execute_block` so worker replicas stay in sync — the
-    coordinator ships each wave's committed writes as the next wave's
-    delta, one IPC round per wave. Before shipping, every wave is
-    re-checked against its members' declared key sets; a wave that
-    fails runs inline, one transaction at a time, instead.
+    ``workers`` lanes: the coordinator runs one itself and forks
+    ``workers - 1`` children at construction, each inheriting an O(1)
+    COW snapshot of ``store``; after that, **every write to the store
+    must flow through** :meth:`execute_block` so worker replicas stay in
+    sync — the coordinator ships the writes committed since the last
+    round as the next round's delta, at most one IPC round per wave.
+    Before dispatch, every wave is re-checked against its members'
+    declared key sets; a wave that fails runs inline, one transaction at
+    a time, instead.
 
     Use as a context manager, or call :meth:`close`; workers are daemonic
     either way, so leaked executors cannot outlive the parent.
@@ -469,7 +489,7 @@ class ParallelExecutor:
         _FORK_REGISTRY = self.registry
         _FORK_SNAPSHOT = self.store.snapshot()
         try:
-            for _ in range(self.workers):
+            for _ in range(self.workers - 1):
                 parent_conn, child_conn = context.Pipe()
                 proc = context.Process(
                     target=_worker_main, args=(child_conn,), daemon=True
@@ -547,12 +567,11 @@ class ParallelExecutor:
         height = block.height
         n = len(txs)
         report = ParallelExecutionReport(
-            workers=self.workers, backend=self.backend
+            workers=self.workers, backend=self.backend, height=height
         )
         EXEC_COUNTERS["blocks_executed"] += 1
         if n == 0:
             report.oracle_checked = self.check_oracle
-            report.state_digest = block_effects_digest([], height)
             return report
         key_sets = declared_key_sets(txs)
         waves = level_waves(key_sets)
@@ -577,7 +596,6 @@ class ParallelExecutor:
                 report.committed += 1
             else:
                 report.failed += 1
-        report.state_digest = block_effects_digest(report.rwsets, height)
         report.backend = self.backend
 
         if oracle_rwsets is not None:
@@ -622,20 +640,51 @@ class ParallelExecutor:
     def _execute_wave_pooled(
         self, wave: list[int], txs: list[Transaction]
     ) -> list[tuple[int, RWSet]] | None:
-        """One batched IPC round; None means fall back to inline."""
-        chunks = partition_wave(wave, len(self._conns))
-        delta = self._unshipped
-        self._unshipped = []
-        EXEC_COUNTERS["tasks_shipped"] += len(wave)
-        EXEC_COUNTERS["delta_entries_shipped"] += len(delta) * len(
-            self._conns
-        )
+        """At most one batched IPC round, with the coordinator running
+        chunk 0 against the live store; None means fall back to inline.
+
+        A conflict-free wave's members read nothing another member
+        writes, so the live store (every write merged so far) is the
+        view the children's replicas are synced to by this round's
+        delta. Round-robin leaves chunk 1 empty only for a one-tx wave,
+        which therefore sends nothing.
+        """
+        own, *shipped = partition_wave(wave, self.workers)
+        dispatched = bool(shipped[0])
+        if dispatched:
+            delta = self._unshipped
+            self._unshipped = []
+            EXEC_COUNTERS["tasks_shipped"] += len(wave) - len(own)
+            EXEC_COUNTERS["delta_entries_shipped"] += len(delta) * len(
+                self._conns
+            )
+            try:
+                for conn, chunk in zip(self._conns, shipped):
+                    conn.send(("wave", delta, pack_wave_tasks(chunk, txs)))
+            except (BrokenPipeError, OSError):
+                self._mark_broken()
+                return None
         try:
-            for conn, chunk in zip(self._conns, chunks):
-                conn.send(("wave", delta, pack_wave_tasks(chunk, txs)))
-        except (BrokenPipeError, OSError):
-            self._mark_broken()
-            return None
+            rows = [
+                (i, execute_with_capture(self.registry, txs[i], self.store))
+                for i in own
+            ]
+        except BaseException:
+            # A contract bug propagates as in the serial engine, once
+            # this round's replies are read so the pipes stay in step.
+            if dispatched:
+                self._collect_replies(txs)
+            raise
+        if not dispatched:
+            return rows
+        replies = self._collect_replies(txs)
+        return None if replies is None else rows + replies
+
+    def _collect_replies(
+        self, txs: list[Transaction]
+    ) -> list[tuple[int, RWSet]] | None:
+        """Every child's reply to the round just sent; None when a child
+        replied with a traceback, died, or missed the wave timeout."""
         deadline = time.monotonic() + self.wave_timeout
         rows: list[tuple[int, RWSet]] = []
         worker_error: str | None = None

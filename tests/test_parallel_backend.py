@@ -109,13 +109,13 @@ class TestWorkerResolution:
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_kv_row_identity_across_worker_counts(self, workers):
         assert_equivalent(
             kv_block(300), StateStore, standard_registry, workers
         )
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_smallbank_row_identity_across_worker_counts(self, workers):
         workload = SmallBankWorkload(n_customers=40, seed=53)
         setup = workload.setup_transactions()
@@ -200,31 +200,48 @@ class TestEquivalence:
             b = ex.execute_block(block)
         assert a.state_digest == b.state_digest
 
+    def test_state_digest_is_computed_on_first_read(self, monkeypatch):
+        calls = []
+        real = parallel_backend.block_effects_digest
+
+        def counting(rwsets, height):
+            calls.append(height)
+            return real(rwsets, height)
+
+        monkeypatch.setattr(
+            parallel_backend, "block_effects_digest", counting
+        )
+        block = kv_block(60)
+        with ParallelExecutor(
+            standard_registry(), StateStore(), 2, check_oracle=False
+        ) as executor:
+            report = executor.execute_block(block)
+        assert calls == []
+        serial = execute_block_serially(
+            block, StateStore(), standard_registry()
+        )
+        assert report.state_digest == real(serial.rwsets, 1)
+        assert report.state_digest == report.state_digest
+        assert calls == [1]
+
     def test_multi_block_delta_sync(self):
         # Block 2's reads depend on block 1's writes reaching the worker
-        # replicas through the delta channel.
-        store = StateStore()
-        with ParallelExecutor(standard_registry(), store, 2) as executor:
-            inc = [
-                Transaction.create(
-                    "increment", (f"k{i % 5}",),
-                    declared_ops=declared((OpType.READ_WRITE, f"k{i % 5}")),
+        # replicas through the delta channel. At 3 lanes the round-robin
+        # split of a 5-tx wave does not divide evenly.
+        keys = [f"k{i % 5}" for i in range(25)]
+        for workers in (2, 3):
+            store = StateStore()
+            with ParallelExecutor(
+                standard_registry(), store, workers
+            ) as executor:
+                first = executor.execute_block(
+                    Block.create(1, GENESIS_PREV_HASH, increments(keys))
                 )
-                for i in range(25)
-            ]
-            first = executor.execute_block(
-                Block.create(1, GENESIS_PREV_HASH, inc)
-            )
-            again = [
-                Transaction.create(
-                    "increment", (f"k{i % 5}",),
-                    declared_ops=declared((OpType.READ_WRITE, f"k{i % 5}")),
+                second = executor.execute_block(
+                    Block.create(2, "h1", increments(keys))
                 )
-                for i in range(25)
-            ]
-            second = executor.execute_block(Block.create(2, "h1", again))
-        assert first.oracle_matches and second.oracle_matches
-        assert store.get("k0") == 10
+            assert first.oracle_matches and second.oracle_matches
+            assert store.get("k0") == 10
 
 
 class TestIpcPayloads:
@@ -273,6 +290,106 @@ class TestIpcPayloads:
         assert wave_is_conflict_free([ka, kb])
         assert not wave_is_conflict_free([ka, kc])
         assert wave_is_conflict_free([kc, kc])
+
+
+class RecordingConn:
+    """A pool pipe that keeps every message the coordinator sends."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+        self.conn.send(message)
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
+def record_messages(executor):
+    executor._conns = [RecordingConn(conn) for conn in executor._conns]
+    return executor._conns
+
+
+def increments(keys):
+    return [
+        Transaction.create(
+            "increment", (key,),
+            declared_ops=declared((OpType.READ_WRITE, key)),
+        )
+        for key in keys
+    ]
+
+
+class TestIpcShape:
+    def test_pool_forks_one_child_fewer_than_lanes(self):
+        with ParallelExecutor(standard_registry(), StateStore(), 3) as ex:
+            assert ex.workers == 3 and ex.pool_alive
+            assert len(ex._procs) == 2
+
+    def test_one_tx_wave_sends_nothing(self):
+        # k0 twice: tx 6 waits for tx 0, so the block levels to a 6-tx
+        # wave and a 1-tx tail wave, which the coordinator runs alone.
+        txs = increments([f"k{i}" for i in range(6)] + ["k0"])
+        block = Block.create(1, GENESIS_PREV_HASH, txs)
+        assert level_waves(declared_key_sets(txs)) == [
+            [0, 1, 2, 3, 4, 5], [6],
+        ]
+        reset_exec_counters()
+        store = StateStore()
+        with ParallelExecutor(standard_registry(), store, 2) as executor:
+            (conn,) = record_messages(executor)
+            report = executor.execute_block(block)
+            assert report.oracle_matches and report.fallback_waves == 0
+            assert EXEC_COUNTERS["waves_pooled"] == 2
+            assert EXEC_COUNTERS["tasks_shipped"] == 3
+            assert conn.sent == [
+                ("wave", [], pack_wave_tasks([1, 3, 5], txs)),
+            ]
+            # Both waves' 7 writes wait for the next round.
+            second = executor.execute_block(Block.create(
+                2, "h1", increments([f"k{i}" for i in range(6)])
+            ))
+            assert second.oracle_matches
+            assert len(conn.sent) == 2
+            assert len(conn.sent[1][1]) == 7
+        assert EXEC_COUNTERS["delta_entries_shipped"] == 7
+        assert EXEC_COUNTERS["tasks_shipped"] == 6
+        assert store.get("k0") == 3
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_each_write_reaches_each_child_once(self, workers):
+        blocks = [
+            kv_block(200),
+            Block.create(2, "h1", list(kv_block(200, seed=52).transactions)),
+        ]
+        reset_exec_counters()
+        with ParallelExecutor(
+            standard_registry(), StateStore(), workers
+        ) as executor:
+            conns = record_messages(executor)
+            reports = [executor.execute_block(block) for block in blocks]
+            unshipped = list(executor._unshipped)
+        committed = [
+            (key, value, block.height, index)
+            for block, report in zip(blocks, reports)
+            for index, rwset in enumerate(report.rwsets) if rwset.ok
+            for key, value in rwset.writes.items()
+        ]
+        assert len(conns) == workers - 1
+        by_position = lambda entry: (entry[2], entry[3], entry[0])
+        for conn in conns:
+            received = [
+                entry for message in conn.sent if message[0] == "wave"
+                for entry in message[1]
+            ]
+            assert sorted(received + unshipped, key=by_position) == sorted(
+                committed, key=by_position
+            )
+        assert EXEC_COUNTERS["delta_entries_shipped"] == (
+            len(committed) - len(unshipped)
+        ) * (workers - 1)
 
 
 def assert_levels_match_graph(txs):
@@ -472,7 +589,8 @@ class TestDegradation:
         assert report.fallback_waves == 1
         assert EXEC_COUNTERS["wave_fallbacks"] == 1
         assert EXEC_COUNTERS["waves_pooled"] == 1
-        assert EXEC_COUNTERS["tasks_shipped"] == 6
+        # The coordinator runs half of the 6-tx wave itself.
+        assert EXEC_COUNTERS["tasks_shipped"] == 3
         assert report.oracle_checked and report.oracle_matches
         serial_store = StateStore()
         serial = execute_block_serially(
@@ -483,6 +601,39 @@ class TestDegradation:
         ]
         assert store.as_dict() == serial_store.as_dict()
         assert store.get("x") == 6
+
+    def test_coordinator_exception_propagates_with_pool_in_step(self):
+        parent = os.getpid()
+
+        def haywire(ctx, key):
+            if os.getpid() == parent:
+                raise RuntimeError("not a business-rule abort")
+            ctx.put(key, 1)
+            return 1
+
+        registry = standard_registry()
+        registry.register("haywire", haywire)
+        reset_exec_counters()
+        store = StateStore()
+        with ParallelExecutor(
+            registry, store, 2, check_oracle=False
+        ) as executor:
+            with pytest.raises(RuntimeError, match="business-rule"):
+                executor.execute_block(self._block("haywire"))
+            assert executor.pool_alive
+            assert store.as_dict() == {}
+            # A reply left unread in the pipe would be taken for this
+            # block's and trip the oracle.
+            executor.check_oracle = True
+            clean = Block.create(
+                2, "h1", increments([f"x{i}" for i in range(12)])
+            )
+            report = executor.execute_block(clean)
+            assert executor.pool_alive
+        assert report.backend == "process-pool"
+        assert report.oracle_checked and report.oracle_matches
+        assert report.fallback_waves == 0 and report.committed == 12
+        assert EXEC_COUNTERS["pool_failures"] == 0
 
     def test_oracle_detects_undeclared_read(self):
         # Two "independent" txs by declaration, but the second secretly
