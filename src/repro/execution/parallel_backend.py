@@ -22,14 +22,15 @@ Design (one lane per worker with batched IPC, not process-per-transaction):
   a local overlay fed exclusively by coordinator deltas.
 * Each wave is split round-robin into one chunk per lane
   (:func:`~repro.execution.depgraph.partition_wave`) and costs at most
-  **one IPC round**: every child receives one message carrying the
-  writes committed since its last message (the delta) and its chunk,
-  then the coordinator runs chunk 0 against the live store while the
-  children work, and each child replies with one batch of captured
-  read/write sets. A wave whose child chunks are all empty (a one-tx
-  wave) sends nothing; its delta waits for the next round. Nobody
-  applies results while the wave runs — the coordinator is the single
-  writer, so replicas can never diverge from the authoritative store.
+  **one IPC round**: every child whose chunk holds tasks receives one
+  message carrying the writes committed since *its* last message (its
+  delta) and its chunk, then the coordinator runs chunk 0 against the
+  live store while the children work, and each of those children
+  replies with one batch of captured read/write sets. A child with an
+  empty chunk gets no message; its delta waits for its next one, so a
+  one-tx wave sends nothing at all. Nobody applies results while the
+  wave runs — the coordinator is the single writer, so replicas can
+  never diverge from the authoritative store.
 * The coordinator merges its own rows and the replies in block order
   (deterministic whatever the workers' finishing order), applies
   committed writes with the transaction's original
@@ -474,7 +475,10 @@ class ParallelExecutor:
         self.backend = "serial"
         self._procs: list[Any] = []
         self._conns: list[Any] = []
-        self._unshipped: Delta = []
+        #: Committed writes some child has not been sent yet, in commit
+        #: order; ``_sent[c]`` of them have gone to child ``c``.
+        self._log: Delta = []
+        self._sent: list[int] = []
         if self.workers > 1:
             self._start_pool()
 
@@ -498,6 +502,7 @@ class ParallelExecutor:
                 child_conn.close()
                 self._procs.append(proc)
                 self._conns.append(parent_conn)
+                self._sent.append(0)
             self.backend = "process-pool"
         finally:
             _FORK_REGISTRY = None
@@ -522,6 +527,7 @@ class ParallelExecutor:
             proc.join(timeout=5.0)
         self._procs = []
         self._conns = []
+        self._log, self._sent = [], []
         self.backend = "serial-degraded"
 
     def close(self) -> None:
@@ -542,6 +548,7 @@ class ParallelExecutor:
                 pass
         self._procs = []
         self._conns = []
+        self._log, self._sent = [], []
         if self.backend == "process-pool":
             self.backend = "serial"
 
@@ -646,24 +653,29 @@ class ParallelExecutor:
         A conflict-free wave's members read nothing another member
         writes, so the live store (every write merged so far) is the
         view the children's replicas are synced to by this round's
-        delta. Round-robin leaves chunk 1 empty only for a one-tx wave,
-        which therefore sends nothing.
+        deltas. Only children whose chunk holds tasks are sent to; with
+        round-robin chunks that is every child for a wave of at least
+        ``workers`` txs, and none for a one-tx wave.
         """
         own, *shipped = partition_wave(wave, self.workers)
-        dispatched = bool(shipped[0])
-        if dispatched:
-            delta = self._unshipped
-            self._unshipped = []
+        targets = [child for child, chunk in enumerate(shipped) if chunk]
+        if targets:
             EXEC_COUNTERS["tasks_shipped"] += len(wave) - len(own)
-            EXEC_COUNTERS["delta_entries_shipped"] += len(delta) * len(
-                self._conns
-            )
             try:
-                for conn, chunk in zip(self._conns, shipped):
-                    conn.send(("wave", delta, pack_wave_tasks(chunk, txs)))
+                for child in targets:
+                    delta = self._log[self._sent[child]:]
+                    self._sent[child] = len(self._log)
+                    EXEC_COUNTERS["delta_entries_shipped"] += len(delta)
+                    self._conns[child].send(
+                        ("wave", delta, pack_wave_tasks(shipped[child], txs))
+                    )
             except (BrokenPipeError, OSError):
                 self._mark_broken()
                 return None
+            shipped_to_all = min(self._sent)
+            if shipped_to_all:
+                del self._log[:shipped_to_all]
+                self._sent = [sent - shipped_to_all for sent in self._sent]
         try:
             rows = [
                 (i, execute_with_capture(self.registry, txs[i], self.store))
@@ -672,23 +684,25 @@ class ParallelExecutor:
         except BaseException:
             # A contract bug propagates as in the serial engine, once
             # this round's replies are read so the pipes stay in step.
-            if dispatched:
-                self._collect_replies(txs)
+            if targets:
+                self._collect_replies(txs, targets)
             raise
-        if not dispatched:
+        if not targets:
             return rows
-        replies = self._collect_replies(txs)
+        replies = self._collect_replies(txs, targets)
         return None if replies is None else rows + replies
 
     def _collect_replies(
-        self, txs: list[Transaction]
+        self, txs: list[Transaction], targets: list[int]
     ) -> list[tuple[int, RWSet]] | None:
-        """Every child's reply to the round just sent; None when a child
-        replied with a traceback, died, or missed the wave timeout."""
+        """The reply of every child in ``targets`` to the round just
+        sent; None when one replied with a traceback, died, or missed
+        the wave timeout."""
         deadline = time.monotonic() + self.wave_timeout
         rows: list[tuple[int, RWSet]] = []
         worker_error: str | None = None
-        for conn in self._conns:
+        for child in targets:
+            conn = self._conns[child]
             remaining = deadline - time.monotonic()
             try:
                 if remaining <= 0 or not conn.poll(remaining):
@@ -735,16 +749,17 @@ class ParallelExecutor:
         rwsets: list[RWSet | None],
         height: int,
     ) -> None:
-        """Deterministic merge: block order, original versions, and the
-        delta buffer for the next wave's worker sync."""
+        """Deterministic merge: block order, original versions, and —
+        while children are alive — the log their next deltas come from."""
         rows.sort(key=lambda row: row[0])
         for index, rwset in rows:
             rwsets[index] = rwset
             if rwset.ok:
                 version = Version(height=height, tx_index=index)
                 self.store.apply_writes(rwset.writes, version)
-                for key, value in rwset.writes.items():
-                    self._unshipped.append((key, value, height, index))
+                if self._conns:
+                    for key, value in rwset.writes.items():
+                        self._log.append((key, value, height, index))
 
     def _modelled_makespan(
         self, waves: list[list[int]], costs: list[float]

@@ -124,11 +124,30 @@ def checksum(payload: bytes) -> str:
 
 _KEY_JSON = json.encoder.encode_basestring_ascii
 _SCAN_JSON = json.JSONDecoder().scan_once
+#: ``json.dumps(row, sort_keys=True, separators=(",", ":"))`` without
+#: building a new encoder per call.
+_ROW_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def encode_row(row: list[Any]) -> str:
-    """One run row as canonical JSON (the unit block payloads frame)."""
-    return json.dumps(row, sort_keys=True, separators=(",", ":"))
+    """One run row as canonical JSON (the unit block payloads frame).
+
+    The common row — ``[key, str | int | None, height, tx_index]`` — is
+    formatted directly; anything else (bools, floats, nested values)
+    goes through the canonical encoder. Both give the same bytes.
+    """
+    if len(row) == 4:
+        key, value, height, tx_index = row
+        if type(key) is str and type(height) is int and type(tx_index) is int:
+            kind = type(value)
+            if kind is str:
+                return (f"[{_KEY_JSON(key)},{_KEY_JSON(value)},"
+                        f"{height},{tx_index}]")
+            if kind is int:
+                return f"[{_KEY_JSON(key)},{value},{height},{tx_index}]"
+            if value is None:
+                return f"[{_KEY_JSON(key)},null,{height},{tx_index}]"
+    return _ROW_JSON(row)
 
 
 def frame_rows(encoded: list[str]) -> bytes:
@@ -155,14 +174,32 @@ def block_text(payload: bytes, where: str) -> str:
     return text
 
 
-def decode_block_rows(payload: bytes, where: str) -> list[list[Any]]:
-    """Inverse of :func:`encode_block_rows` — every row of the block,
-    for scans and compaction; StorageError on garbage."""
-    body = block_text(payload, where)[1:-1]
+def _text_rows(text: str, where: str) -> list[list[Any]]:
+    """Every row of one :func:`block_text`, decoded in one parse."""
     try:
-        return json.loads("[" + body.replace("\n", ",") + "]")
+        return json.loads("[" + text[1:-1].replace("\n", ",") + "]")
     except ValueError as exc:
         raise StorageError(f"undecodable run block in {where}") from exc
+
+
+def decode_block_rows(payload: bytes, where: str) -> list[list[Any]]:
+    """Inverse of :func:`encode_block_rows` — every row of the block,
+    for scans; StorageError on garbage."""
+    return _text_rows(block_text(payload, where), where)
+
+
+def split_block_rows(
+    payload: bytes, where: str
+) -> list[tuple[list[Any], str]]:
+    """Every row of the block paired with its canonical text, for
+    compaction to copy: :func:`decode_block_rows`'s frame and parse, plus
+    the split between the frame's newlines. StorageError on garbage."""
+    text = block_text(payload, where)
+    rows = _text_rows(text, where)
+    encoded = text[1:-1].split("\n")
+    if len(encoded) != len(rows):
+        raise StorageError(f"misframed run block in {where}")
+    return list(zip(rows, encoded))
 
 
 def find_row(text: str, key: str, where: str) -> list[Any] | None:
@@ -175,6 +212,9 @@ def find_row(text: str, key: str, where: str) -> list[Any] | None:
         return _SCAN_JSON(text, at + 1)[0]
     except (ValueError, StopIteration) as exc:
         raise StorageError(f"undecodable run row in {where}") from exc
+
+
+_LOW64 = (1 << 64) - 1
 
 
 class KeyFilter:
@@ -222,10 +262,15 @@ class KeyFilter:
         )
 
     def add(self, key: str) -> None:
-        h1, h2 = self.hash_pair(key)
-        for i in range(self.nhashes):
-            position = (h1 + i * h2) % self.nbits
-            self.bits[position >> 3] |= 1 << (position & 7)
+        """Set ``key``'s bits: the positions :meth:`might_contain` probes
+        for its :meth:`hash_pair`, stepped ``h2 mod m`` at a time."""
+        pair = int.from_bytes(hashlib.sha256(key.encode()).digest(), "big")
+        nbits, bits = self.nbits, self.bits
+        position = (pair >> 192) % nbits
+        step = (((pair >> 128) & _LOW64) | 1) % nbits
+        for _ in range(self.nhashes):
+            bits[position >> 3] |= 1 << (position & 7)
+            position = (position + step) % nbits
 
     def might_contain(self, pair: tuple[int, int]) -> bool:
         """False when no key with this :meth:`hash_pair` was added."""

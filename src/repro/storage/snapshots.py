@@ -42,7 +42,9 @@ style:
   wins, tombstones drop out once they reach the bottom) and swaps the
   manifest; a crash mid-compaction is invisible to recovery. The merge
   is a k-way heap over each run's sorted row stream, so compaction
-  memory is O(block), not O(state).
+  memory is O(block), not O(state), and it copies each surviving row's
+  canonical text out of its verified block rather than encoding it
+  again.
 
 Reading state back is ``apply runs in manifest order``: rows carry the
 exact MVCC :class:`~repro.ledger.store.Version` of each write, so a
@@ -73,6 +75,7 @@ from repro.storage.codec import (
     entry_to_row,
     frame_rows,
     row_to_entry,
+    split_block_rows,
 )
 
 MANIFEST_NAME = "MANIFEST.json"
@@ -265,13 +268,16 @@ class RunWriter:
     """Stream sorted rows into one blocked run file, O(block) memory.
 
     Rows arrive in strictly increasing key order (enforced — an
-    out-of-order row means a broken merge upstream). Each ~4KB of
-    encoded rows is appended as one checksummed block; the footer
-    (block index + key filter) and trailer land last, and a final fsync
-    makes the whole file durable *before* :meth:`finish` returns its
-    manifest entry — preserving the run-durable-before-referenced
-    ordering the manifest swap relies on. A crash mid-write leaves an
-    unreferenced partial file for recovery's garbage collector.
+    out-of-order row means a broken merge upstream), either as rows
+    (:meth:`add` encodes each once) or as rows already in canonical
+    text (:meth:`add_encoded`, compaction's copy path); each key also
+    goes into the key filter. Each ~4KB of encoded rows is appended as
+    one checksummed block; the footer (block index + key filter) and
+    trailer land last, and a final fsync makes the whole file durable
+    *before* :meth:`finish` returns its manifest entry — preserving the
+    run-durable-before-referenced ordering the manifest swap relies
+    on. A crash mid-write leaves an unreferenced partial file for
+    recovery's garbage collector.
     """
 
     def __init__(
@@ -306,7 +312,12 @@ class RunWriter:
         self._last_key: str | None = None
 
     def add(self, row: list[Any]) -> None:
-        key = row[0]
+        self.add_encoded(row[0], encode_row(row))
+
+    def add_encoded(self, key: str, encoded: str) -> None:
+        """Append one row already in canonical form — ``encode_row`` of
+        a row with key ``key``, such as compaction copies out of a
+        verified block."""
         if self._last_key is not None and key <= self._last_key:
             raise StorageError(
                 f"run rows out of order ({key!r} after {self._last_key!r})"
@@ -315,7 +326,6 @@ class RunWriter:
         if self._first_key is None:
             self._first_key = key
         self.filter.add(key)
-        encoded = encode_row(row)
         self._encoded.append(encoded)
         self._encoded_bytes += len(encoded) + 1
         self.rows_written += 1
@@ -594,6 +604,16 @@ class SnapshotStore:
         replaces the band *at its position*, preserving the positional
         key-shadowing order of the untouched runs around it.
 
+        Rows are **copied, not rebuilt**: each input block is read and
+        length- and checksum-verified whole before any of its rows is
+        streamed, then split into rows paired with their canonical text
+        (:func:`~repro.storage.codec.split_block_rows`), and a surviving
+        row's text goes to the writer as it is
+        (:meth:`RunWriter.add_encoded`). Canonical row JSON is a fixed
+        point of decode → encode, so the merged file is byte-identical
+        to a run written from the decoded rows; a damaged input block
+        raises :class:`StorageError` before step (2) below.
+
         Ordering is the whole point:
 
         1. write the merged run (block appends + fsync — durable),
@@ -625,21 +645,24 @@ class SnapshotStore:
         # several runs the newest (highest position) pops first, and the
         # older duplicates are skipped as they surface.
         def stream(entry: dict[str, Any], position: int):
-            for row in self.iter_run_rows(entry):
-                yield (row[0], -position, row)
+            name = entry["name"]
+            for spec in read_run_footer(self.backend, entry)["blocks"]:
+                block = read_run_block(self.backend, name, spec)
+                for row, encoded in split_block_rows(block, name):
+                    yield row[0], -position, row[1] is None, encoded
 
         streams = [
             stream(entry, position)
             for position, entry in enumerate(band)
         ]
         last_key = None
-        for key, _position, row in heapq.merge(*streams):
+        for key, _position, tombstone, encoded in heapq.merge(*streams):
             if key == last_key:
                 continue  # superseded by a newer run
             last_key = key
-            if row[1] is None and drop_tombstones:
+            if tombstone and drop_tombstones:
                 continue  # bottom tier: tombstones cancel out
-            writer.add(row)
+            writer.add_encoded(key, encoded)
         new_entry = writer.finish()
         # Promote the merged run one tier above its inputs — explicit,
         # not size-derived, so dedup-heavy merges still move upward.

@@ -370,26 +370,74 @@ class TestIpcShape:
         ) as executor:
             conns = record_messages(executor)
             reports = [executor.execute_block(block) for block in blocks]
-            unshipped = list(executor._unshipped)
-        committed = [
-            (key, value, block.height, index)
-            for block, report in zip(blocks, reports)
-            for index, rwset in enumerate(report.rwsets) if rwset.ok
-            for key, value in rwset.writes.items()
-        ]
+            pending = unsent_per_child(executor)
+        committed = committed_writes(blocks, reports)
         assert len(conns) == workers - 1
-        by_position = lambda entry: (entry[2], entry[3], entry[0])
-        for conn in conns:
-            received = [
-                entry for message in conn.sent if message[0] == "wave"
-                for entry in message[1]
+        assert_each_write_reaches_each_child_once(conns, pending, committed)
+        assert EXEC_COUNTERS["delta_entries_shipped"] == sum(
+            len(committed) - len(unsent) for unsent in pending
+        )
+
+    def test_children_with_empty_chunks_get_no_message(self):
+        """4 lanes on a 300-tx block: its short waves leave some children
+        nothing to run, and those children are not messaged; the writes
+        they missed ride in their next message."""
+        block = kv_block(300)
+        waves = level_waves(declared_key_sets(list(block.transactions)))
+        short = [len(wave) for wave in waves if 1 < len(wave) < 4]
+        assert short, "the block must have a wave narrower than 4 lanes"
+        reset_exec_counters()
+        with ParallelExecutor(
+            standard_registry(), StateStore(), 4
+        ) as executor:
+            conns = record_messages(executor)
+            report = executor.execute_block(block)
+            messages = [
+                message for conn in conns for message in conn.sent
+                if message[0] == "wave"
             ]
-            assert sorted(received + unshipped, key=by_position) == sorted(
-                committed, key=by_position
-            )
-        assert EXEC_COUNTERS["delta_entries_shipped"] == (
-            len(committed) - len(unshipped)
-        ) * (workers - 1)
+            assert all(message[2] for message in messages)
+            pending = unsent_per_child(executor)
+        assert report.oracle_matches and report.fallback_waves == 0
+        assert len(messages) == sum(
+            min(len(wave) - 1, 3) for wave in waves
+        )
+        assert EXEC_COUNTERS["tasks_shipped"] == sum(
+            len(wave) - len(partition_wave(wave, 4)[0]) for wave in waves
+        )
+        committed = committed_writes([block], [report])
+        assert_each_write_reaches_each_child_once(conns, pending, committed)
+        assert EXEC_COUNTERS["delta_entries_shipped"] == sum(
+            len(committed) - len(unsent) for unsent in pending
+        )
+
+
+def unsent_per_child(executor):
+    """Per child, the committed writes it has not been sent yet."""
+    return [list(executor._log[sent:]) for sent in executor._sent]
+
+
+def committed_writes(blocks, reports):
+    return [
+        (key, value, block.height, index)
+        for block, report in zip(blocks, reports)
+        for index, rwset in enumerate(report.rwsets) if rwset.ok
+        for key, value in rwset.writes.items()
+    ]
+
+
+def assert_each_write_reaches_each_child_once(conns, pending, committed):
+    """Each child's received deltas, plus what it has not been sent yet,
+    are the committed writes exactly once."""
+    by_position = lambda entry: (entry[2], entry[3], entry[0])
+    for conn, unsent in zip(conns, pending):
+        received = [
+            entry for message in conn.sent if message[0] == "wave"
+            for entry in message[1]
+        ]
+        assert sorted(received + unsent, key=by_position) == sorted(
+            committed, key=by_position
+        )
 
 
 def assert_levels_match_graph(txs):

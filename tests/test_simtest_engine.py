@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.bench.profiling import hotpath_counters, reset_hotpath_counters
 from repro.cli import main
 from repro.common.errors import ConfigError
 from repro.simtest import (
@@ -308,6 +309,23 @@ class TestCli:
         ) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["plans"] == 12
+
+    def test_durable_spill_campaign_writes_and_merges_runs(self, capsys):
+        # CI's --paged --tiered --spill line: with fewer committed blocks
+        # than the snapshot interval it would never write a run, and the
+        # tiering flag would test nothing.
+        reset_hotpath_counters()
+        assert main([
+            "fuzz", "--target", "durable", "--runs", "8", "--seed", "19",
+            "--paged", "--tiered", "--spill", "--txs", "40",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["violations"] == 0
+        counters = hotpath_counters()
+        assert counters["store.overlay_spills"] >= 1
+        assert sum(
+            count for name, count in counters.items()
+            if name.startswith("store.tier_compactions.")
+        ) >= 1
 
     def test_fuzz_command_is_byte_identical(self, capsys):
         argv = ["fuzz", "--protocol", "raft", "--runs", "5", "--seed", "7"]

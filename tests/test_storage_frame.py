@@ -3,25 +3,32 @@
 What the frame promises, checked without a wall clock: a key's row is
 found exactly whatever the keys and values contain; a framed block is
 byte for byte as long as the JSON list of the same rows, so no offset or
-byte total moved; and a point get decodes one row, never a block."""
+byte total moved; a point get decodes one row, never a block; and a
+band merge copies each surviving row's verified text, writing the very
+bytes a fresh run of the merged rows would hold."""
 
+import hashlib
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import StorageError
+from repro.execution.contracts import standard_registry
 from repro.ledger.store import STORE_COUNTERS, Version, reset_store_counters
-from repro.storage import MemoryBackend
+from repro.storage import DurableLedger, MemoryBackend, SnapshotStore
 from repro.storage import codec, paged, snapshots
 from repro.storage.codec import (
     KeyFilter,
     decode_block_rows,
     encode_block_rows,
+    encode_row,
     entry_to_row,
 )
 from repro.storage.paged import BlockCache, PagedRun, PagedStateStore
-from repro.storage.snapshots import RunWriter, run_name
+from repro.storage.snapshots import RunWriter, read_run_footer, run_name
 from repro.workloads.openloop import ScalableZipfSampler
 
 
@@ -189,3 +196,207 @@ def test_point_gets_decode_one_row_and_scans_whole_blocks(monkeypatch):
         ]
     assert counts["blocks"] == STORE_COUNTERS["range_block_decodes"] > 0
     assert counts["rows"] == gets_decoded
+
+
+# -- the row codec and the key filter ------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(
+            key_text,
+            st.one_of(plain_values, st.none()),
+            st.one_of(st.integers(), st.booleans()),
+            st.one_of(st.integers(), st.booleans()),
+        ).map(list),
+        st.lists(plain_values, max_size=5),
+    )
+)
+def test_encode_row_is_the_canonical_json(row):
+    """The direct path for ``[str, str | int | None, int, int]`` and the
+    shared encoder both give ``json.dumps``'s bytes; a bool is never
+    formatted as an int."""
+    assert encode_row(row) == canonical(row)
+
+
+def test_key_filter_bits_are_pinned():
+    """The filter bytes of a fixed key list, as every run footer written
+    so far holds them: a change to how ``add`` derives its positions
+    shows here before it strands a footer's filter."""
+    keys = [f"key{index:05d}" for index in range(1_000)]
+    keys += ["", "é", "中文", "\U0001f600", 'a"b', "line\nbreak"]
+    sized = KeyFilter.sized_for(len(keys))
+    for key in keys:
+        sized.add(key)
+    assert sized.nbits == 8048
+    assert hashlib.sha256(bytes(sized.bits)).hexdigest() == (
+        "7817b6a414a94dcc05bc8cbbee737697524e8f06dcbeeb3efad7be49e2ff23a5"
+    )
+    # A shape whose steps wrap the bit array, with seven probes a key.
+    odd = KeyFilter(72, 7, bytearray(9))
+    for key in ["a", "b", "key00042", "é"]:
+        odd.add(key)
+    assert bytes(odd.bits).hex() == "a48833421d889e4051"
+    for key in keys[:50] + ["a", "b", "é"]:
+        flt = sized if key in keys else odd
+        assert flt.might_contain(KeyFilter.hash_pair(key))
+
+
+# -- band merges copy verified row text ----------------------------------------
+
+
+def write_runs(backend, specs):
+    """One run per ``(rows, block_bytes)`` spec, run ids from 1."""
+    entries = []
+    for run_id, (rows, block_bytes) in enumerate(specs, start=1):
+        writer = RunWriter(backend, run_name(run_id), len(rows), block_bytes)
+        for row in rows:
+            writer.add(row)
+        entries.append(writer.finish())
+    return entries
+
+
+def merged_rows(band_rows, drop_tombstones):
+    """The band merge by a dict: the newest run's row wins per key."""
+    newest = {}
+    for rows in band_rows:
+        newest.update((row[0], row) for row in rows)
+    return [
+        newest[key] for key in sorted(newest)
+        if not (drop_tombstones and newest[key][1] is None)
+    ]
+
+
+def assert_merge_equals_reference(specs, start):
+    """Merge the runs from ``start`` on; its file must equal, byte for
+    byte, a fresh run of the expected rows, each encoded by the writer
+    (its key filter sized as the merge sizes it: one slot per input
+    row)."""
+    backend = MemoryBackend()
+    entries = write_runs(backend, specs)
+    store = SnapshotStore(backend, policy="tiered")
+    manifest = {"runs": entries, "next_run_id": len(entries) + 1}
+    merged = store.merge_band(manifest, start, len(entries) - start)
+    entry = merged["runs"][start]
+    band = [rows for rows, _block_bytes in specs[start:]]
+    expected = merged_rows(band, start == 0)
+    assert store.read_run(entry) == expected
+
+    reference = MemoryBackend()
+    writer = RunWriter(
+        reference, entry["name"], sum(len(rows) for rows in band),
+        purpose="compaction",
+    )
+    for row in expected:
+        writer.add(row)
+    ref_entry = writer.finish()
+    assert backend.read(entry["name"]) == reference.read(entry["name"])
+    for field in ("checksum", "rows", "bytes", "format"):
+        assert entry[field] == ref_entry[field]
+    return backend, entry
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(runs(), min_size=2, max_size=4), st.integers(0, 1))
+def test_band_merge_writes_the_reference_run_bytes(run_specs, start):
+    """Tombstones, escaped and unicode strings, ints, bools, floats,
+    None and nested values; at band start 0 tombstones drop, above it
+    they are kept."""
+    specs = [(rows, block_bytes) for rows, _absent, block_bytes in run_specs]
+    assert_merge_equals_reference(specs, start)
+
+
+def test_multi_block_band_merge_writes_the_reference_run_bytes():
+    """Thousands of rows, so the merged run spans many blocks."""
+    rng = random.Random(52)
+    values = [
+        None, True, False, 0, -7, 2 ** 70, 1.5, -0.0, "plain", 'q"uote',
+        "back\\slash", "new\nline", "é中\U0001f600", [1, [None, "x"]],
+        {"b": 1, "a": [True, 2.5]},
+    ]
+    specs = []
+    for run_id in range(1, 5):
+        keys = sorted(rng.sample(range(6_000), 1_500))
+        specs.append(([
+            entry_to_row(f"key{key:05d}", rng.choice(values) if rng.random()
+                         < 0.3 else f"r{run_id}-{key}", Version(run_id, i))
+            for i, key in enumerate(keys)
+        ], rng.choice([128, 512, 4096])))
+    for start in (0, 1, 2):
+        backend, entry = assert_merge_equals_reference(specs, start)
+        assert len(read_run_footer(backend, entry)["blocks"]) > 5
+
+
+def test_band_merge_encodes_no_row(monkeypatch):
+    """The merge copies rows' text out of their verified blocks: it
+    never calls ``encode_row``."""
+    assert snapshots.encode_row is codec.encode_row is encode_row
+    calls = {"encode_row": 0}
+
+    def counting_encode_row(row):
+        calls["encode_row"] += 1
+        return encode_row(row)
+
+    rng = random.Random(7)
+    specs = [
+        ([entry_to_row(f"k{key:04d}", None if rng.random() < 0.1 else
+                       f"v{run_id}-{key}", Version(run_id, key))
+          for key in sorted(rng.sample(range(3_000), 800))], 256)
+        for run_id in range(1, 5)
+    ]
+    backend = MemoryBackend()
+    entries = write_runs(backend, specs)
+    monkeypatch.setattr(snapshots, "encode_row", counting_encode_row)
+    monkeypatch.setattr(codec, "encode_row", counting_encode_row)
+    store = SnapshotStore(backend, policy="tiered")
+    manifest = store.merge_band(
+        {"runs": entries, "next_run_id": 5}, 0, len(entries)
+    )
+    assert manifest["runs"][0]["rows"] > 1_500
+    assert calls["encode_row"] == 0
+
+
+def test_corrupt_band_input_fails_the_merge_and_leaves_an_orphan():
+    """One flipped byte in an input block: the merge raises, the
+    manifest still names the old runs, none of that block's rows reach
+    the partial output, and recovery's orphan sweep deletes it."""
+    backend = MemoryBackend()
+    specs = [
+        ([entry_to_row(f"k{key:05d}", f"r{run_id}-{key}", Version(run_id, i))
+          for i, key in enumerate(range(0, 2_400, run_id))], 256)
+        for run_id in (1, 2, 3)
+    ]
+    entries = write_runs(backend, specs)
+    store = SnapshotStore(backend, policy="tiered")
+    manifest = {"runs": entries, "next_run_id": 4}
+    store.write_manifest(manifest)
+    before = store.read_manifest()
+
+    # The newest run wins every key it holds, so each row of its damaged
+    # block would be copied were the block not rejected.
+    newest = entries[-1]
+    blocks = read_run_footer(backend, newest)["blocks"]
+    damaged = blocks[len(blocks) * 3 // 4]
+    payload = backend.read(newest["name"])
+    lost = codec.block_text(
+        payload[damaged["off"]:damaged["off"] + damaged["len"]], "test"
+    )[1:-1].split("\n")
+    flip = damaged["off"] + damaged["len"] // 2
+    backend.replace(newest["name"], payload[:flip] + bytes([
+        payload[flip] ^ 0x01
+    ]) + payload[flip + 1:])
+
+    with pytest.raises(StorageError, match="checksum mismatch"):
+        store.merge_band(manifest, 0, len(entries))
+    assert store.read_manifest() == before
+    partial = run_name(4)
+    assert store.orphan_runs(store.read_manifest()) == [partial]
+    written = backend.read(partial)
+    assert written  # earlier output blocks were flushed before the fault
+    assert not any(row.encode() in written for row in lost)
+
+    result = DurableLedger(backend, paged=True).recover(standard_registry)
+    assert result.orphans_removed == 1
+    assert not backend.exists(partial)
+    assert all(backend.exists(entry["name"]) for entry in entries)
